@@ -66,9 +66,15 @@ class EvalContext:
 
     ``spends`` supplies the defense spend of every deployed GDF so that
     upstream compromise probabilities can be computed; a GDF missing from
-    the map is treated as unfunded (spend 0).  Contexts cache upstream
-    compromise probabilities, so build a fresh context whenever the spends
-    change.
+    the map is treated as unfunded (spend 0).
+
+    The context caches the compromise probability of every GDF it has had
+    to look upstream for, keyed by GDF id and computed at that GDF's spend
+    in ``spends``.  The first evaluation of a GDF with parents fills the
+    probabilities of all its not yet cached ancestors in one pass over the
+    portfolio's topological order, so chains of any depth evaluate without
+    recursion and later evaluations only read the cache.  The cache is only
+    valid for these spends: build a fresh context whenever they change.
     """
 
     portfolio: Portfolio | None = None
@@ -80,14 +86,12 @@ class EvalContext:
         if self.mode not in (ADDITIVE, LITERAL):
             raise ValueError(f"unknown evaluation mode {self.mode!r}")
         spends = {str(k): float(v) for k, v in dict(self.spends).items()}
+        known = self.portfolio._graph.gdfs if self.portfolio is not None else None
         for k, v in spends.items():
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"spend for {k!r} must be finite and >= 0, got {v!r}")
-            if self.portfolio is not None:
-                try:
-                    self.portfolio.gdf(k)
-                except KeyError:
-                    raise UnknownGdfError(f"spend names gdf {k!r} not in the portfolio")
+            if known is not None and k not in known:
+                raise UnknownGdfError(f"spend names gdf {k!r} not in the portfolio")
         object.__setattr__(self, "spends", spends)
 
 
@@ -106,34 +110,22 @@ def _check_member(x: Gdf, context: EvalContext | None) -> None:
             raise UnknownGdfError(f"gdf {x.id!r} is not part of the context portfolio")
 
 
-def _base_prob(x: Gdf, attack, s: float) -> float:
-    mult = attack.breach.multiplier(s, attack.baseline_prob)
-    return min(1.0, attack.baseline_prob * mult)
+# ---------------------------------------------------------------------------
+# The dependency fold.  Every evaluation path (single GDF through a context,
+# or a whole portfolio through CoupledTotal) goes through these functions,
+# so both produce bit-identical numbers.
+# ---------------------------------------------------------------------------
 
 
-def _compromise_prob(gdf_id: str, context: EvalContext, visiting: frozenset) -> float:
-    """Probability that at least one attack against ``gdf_id`` succeeds."""
-    cache = context._cache
-    if gdf_id in cache:
-        return cache[gdf_id]
-    gdf = context.portfolio.gdf(gdf_id)
-    s = context.spends.get(gdf_id, 0.0)
-    miss = 1.0
-    for attack in gdf.attacks:
-        miss *= 1.0 - _effective_prob(gdf, attack, s, context, visiting)
-    q = 1.0 - miss
-    cache[gdf_id] = q
-    return q
-
-
-def _effective_prob(x: Gdf, attack, s: float, context: EvalContext | None, visiting: frozenset) -> float:
-    base = _base_prob(x, attack, s)
-    if context is None or context.portfolio is None:
-        return base
-    parents = context.portfolio.parents_of(x.id)
+def _attack_prob(attack, s: float, parents, q: Mapping[str, float] | None) -> float:
+    """Effective success probability of ``attack`` at spend ``s``, given the
+    compromise probabilities ``q`` of the sources of ``parents``."""
+    # min(1.0, ...) inlined here and below: this is the allocator's innermost loop
+    base = attack.baseline_prob * attack.breach.multiplier(s, attack.baseline_prob)
+    if not base < 1.0:
+        base = 1.0
     if not parents:
         return base
-    visiting = visiting | {x.id}
     # Parents compromise independently; fold each one's two states
     # (untouched / compromised, the latter multiplying the uplift) into a
     # distribution over accumulated uplift products, then take the expected
@@ -141,18 +133,64 @@ def _effective_prob(x: Gdf, attack, s: float, context: EvalContext | None, visit
     # compromise-state combinations exactly.
     dist = [(1.0, 1.0)]
     for edge in parents:
-        if edge.source in visiting:
-            raise CycleDetectedError(
-                f"dependency cycle through {edge.source!r} while evaluating {x.id!r}"
-            )
-        q = _compromise_prob(edge.source, context, visiting)
+        qp = q[edge.source]
+        untouched = 1.0 - qp
         uplift = edge.uplift.get(attack.id, 1.0)
-        dist = [
-            pair
-            for prob, prod in dist
-            for pair in ((prob * (1.0 - q), prod), (prob * q, prod * uplift))
-        ]
-    return sum(prob * min(1.0, base * prod) for prob, prod in dist)
+        doubled = []
+        for prob, prod in dist:
+            doubled.append((prob * untouched, prod))
+            doubled.append((prob * qp, prod * uplift))
+        dist = doubled
+    return sum([prob * (up if (up := base * prod) < 1.0 else 1.0) for prob, prod in dist])
+
+
+def _fold_gdf(x: Gdf, s: float, parents, q, mode: str) -> tuple[float, float]:
+    """Expected cyber cost ``f(s)`` of ``x`` and the probability that at
+    least one of its attacks succeeds."""
+    loss = 0.0
+    prob_total = 0.0
+    miss = 1.0
+    for attack in x.attacks:
+        p = _attack_prob(attack, s, parents, q)
+        loss += p * attack.loss
+        prob_total += p
+        miss *= 1.0 - p
+    if mode == LITERAL:
+        return loss + s * prob_total, 1.0 - miss
+    return s + loss, 1.0 - miss
+
+
+def _fixed_net(x: Gdf) -> float:
+    """The spend-independent part of the net benefit."""
+    return x.ben - x.dir_costs - sum(ev.prob * ev.cost for ev in x.adverse)
+
+
+def _upstream(x: Gdf, context: EvalContext | None) -> tuple[tuple, dict | None]:
+    """Parent edges of ``x`` in the context portfolio, and the context cache
+    filled with the compromise probability of every ancestor of ``x``."""
+    if context is None or context.portfolio is None:
+        return (), None
+    portfolio = context.portfolio
+    graph = portfolio._graph
+    q = context._cache
+    parents = graph.parents.get(x.id, ())
+    need = set()
+    stack = [edge.source for edge in parents]
+    while stack:
+        gid = stack.pop()
+        if gid in q or gid in need:
+            continue
+        if gid in graph.cyclic:
+            raise CycleDetectedError(
+                f"dependency cycle through {gid!r} while evaluating {x.id!r}"
+            )
+        need.add(gid)
+        stack.extend(edge.source for edge in graph.parents.get(gid, ()))
+    for gid in sorted(need, key=graph.rank.__getitem__):
+        _, q[gid] = _fold_gdf(
+            portfolio.gdf(gid), context.spends.get(gid, 0.0), graph.parents.get(gid, ()), q, ADDITIVE
+        )
+    return parents, q
 
 
 def effective_prob(x: Gdf, attack_id: str, s: float, context: EvalContext | None = None) -> float:
@@ -164,7 +202,9 @@ def effective_prob(x: Gdf, attack_id: str, s: float, context: EvalContext | None
     """
     _require_spend(s)
     _check_member(x, context)
-    return _effective_prob(x, x.attack(attack_id), s, context, frozenset())
+    attack = x.attack(attack_id)
+    parents, q = _upstream(x, context)
+    return _attack_prob(attack, s, parents, q)
 
 
 def expected_cyber_cost(x: Gdf, s: float, context: EvalContext | None = None) -> float:
@@ -175,16 +215,11 @@ def expected_cyber_cost(x: Gdf, s: float, context: EvalContext | None = None) ->
     alternative.
     """
     s = _require_spend(s)
+    if context is None:
+        return _fold_gdf(x, s, (), None, ADDITIVE)[0]
     _check_member(x, context)
-    loss = 0.0
-    prob_total = 0.0
-    for attack in x.attacks:
-        p = _effective_prob(x, attack, s, context, frozenset())
-        loss += p * attack.loss
-        prob_total += p
-    if context is not None and context.mode == LITERAL:
-        return loss + s * prob_total
-    return s + loss
+    parents, q = _upstream(x, context)
+    return _fold_gdf(x, s, parents, q, context.mode)[0]
 
 
 def enb(x: Gdf, s: float, context: EvalContext | None = None) -> float:
@@ -194,8 +229,55 @@ def enb(x: Gdf, s: float, context: EvalContext | None = None) -> float:
     (spend-independent), minus :func:`expected_cyber_cost`.  Negative values
     mean the functionality is an expected loss at that spending level.
     """
-    noncyber = sum(ev.prob * ev.cost for ev in x.adverse)
-    return x.ben - x.dir_costs - noncyber - expected_cyber_cost(x, s, context)
+    return _fixed_net(x) - expected_cyber_cost(x, s, context)
+
+
+class CoupledTotal:
+    """Summed net benefit of every GDF of ``p`` as a function of all spends.
+
+    Equal, bit for bit, to building ``EvalContext(p, spends, mode)`` and
+    summing ``enb`` over ``p.gdfs``, but without a context per call: one
+    pass over the topological order computes each GDF's attack
+    probabilities once and reuses them for both its own net benefit and its
+    children's fold.  The optimizer probes it tens of thousands of times,
+    mostly moving one or two spends at a time, so each GDF also keeps its
+    inputs (own spend, parents' compromise probabilities) and results from
+    the previous call and recomputes only when an input changed: only the
+    moved GDFs and their descendants are re-folded.
+    """
+
+    def __init__(self, p: Portfolio, mode: str = ADDITIVE):
+        graph = p._graph
+        if graph.cyclic:
+            raise CycleDetectedError(
+                f"dependency cycle through {sorted(graph.cyclic)[0]!r}"
+            )
+        self._steps = tuple(
+            (gid, graph.gdfs[gid], graph.parents.get(gid, ()), _fixed_net(graph.gdfs[gid]))
+            for gid in graph.order
+            if gid in graph.gdfs
+        )
+        self._ids = tuple(x.id for x in p.gdfs)
+        self._mode = mode
+        self._last: dict[str, tuple] = {}
+
+    def __call__(self, spends: Mapping[str, float]) -> float:
+        q: dict[str, float] = {}
+        values: dict[str, float] = {}
+        last = self._last
+        for gid, x, parents, fixed in self._steps:
+            s = spends[gid]
+            key = (s, *[q[edge.source] for edge in parents])
+            seen = last.get(gid)
+            if seen is not None and seen[0] == key:
+                q[gid], values[gid] = seen[1], seen[2]
+                continue
+            if not 0.0 <= s < math.inf:
+                raise ValueError(f"spend for {gid!r} must be finite and >= 0, got {s!r}")
+            cost, q[gid] = _fold_gdf(x, s, parents, q, self._mode)
+            values[gid] = fixed - cost
+            last[gid] = (key, q[gid], values[gid])
+        return sum(values[gid] for gid in self._ids)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from functools import cached_property
+from typing import Mapping, NamedTuple, Union
 
 __all__ = [
     "ModelError",
@@ -360,9 +361,63 @@ class DependencyEdge:
         object.__setattr__(self, "uplift", uplift)
 
 
+class _Graph(NamedTuple):
+    """Dependency index of one portfolio, built once on first use.
+
+    ``parents`` lists each node's incoming edges in ``Portfolio.edges``
+    order.  ``order`` is a Kahn topological order of every node that is
+    neither on a cycle nor downstream of one; the remaining nodes form
+    ``cyclic``.  Nodes are the GDF ids plus any edge endpoint naming no GDF.
+    """
+
+    gdfs: dict[str, Gdf]
+    parents: dict[str, tuple[DependencyEdge, ...]]
+    order: tuple[str, ...]
+    rank: dict[str, int]
+    cyclic: frozenset[str]
+
+
+def _build_graph(gdfs: tuple[Gdf, ...], edges: tuple[DependencyEdge, ...]) -> _Graph:
+    by_id: dict[str, Gdf] = {}
+    for g in gdfs:
+        by_id.setdefault(g.id, g)  # first one wins, as in a linear scan
+    parents: dict[str, list[DependencyEdge]] = {}
+    children: dict[str, list[str]] = {}
+    indegree = dict.fromkeys(by_id, 0)
+    for e in edges:
+        parents.setdefault(e.target, []).append(e)
+        children.setdefault(e.source, []).append(e.target)
+        indegree.setdefault(e.source, 0)
+        indegree[e.target] = indegree.get(e.target, 0) + 1
+    # Kahn's algorithm: whatever never reaches in-degree 0 lies on a cycle
+    # or downstream of one
+    ready = [node for node, d in indegree.items() if d == 0]
+    order = []
+    while ready:
+        node = ready.pop()
+        order.append(node)
+        for child in children.get(node, ()):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                ready.append(child)
+    return _Graph(
+        gdfs=by_id,
+        parents={k: tuple(v) for k, v in parents.items()},
+        order=tuple(order),
+        rank={node: i for i, node in enumerate(order)},
+        cyclic=frozenset(node for node, d in indegree.items() if d > 0),
+    )
+
+
 @dataclass(frozen=True)
 class Portfolio:
-    """A set of GDFs, their dependency edges, and the shared defense budget."""
+    """A set of GDFs, their dependency edges, and the shared defense budget.
+
+    The dependency index behind :meth:`gdf`, :meth:`parents_of` and
+    evaluation (id lookup, incoming edges, topological order) is built on
+    first use and cached on the instance; a restricted or replaced
+    portfolio builds its own.
+    """
 
     gdfs: tuple[Gdf, ...] = ()
     edges: tuple[DependencyEdge, ...] = ()
@@ -374,107 +429,46 @@ class Portfolio:
         if self.budget is not None:
             object.__setattr__(self, "budget", _require_money(self.budget, "portfolio budget"))
 
+    @cached_property
+    def _graph(self) -> _Graph:
+        return _build_graph(self.gdfs, self.edges)
+
     def gdf(self, gdf_id: str) -> Gdf:
-        for g in self.gdfs:
-            if g.id == gdf_id:
-                return g
-        raise KeyError(f"portfolio has no gdf {gdf_id!r}")
+        try:
+            return self._graph.gdfs[gdf_id]
+        except KeyError:
+            raise KeyError(f"portfolio has no gdf {gdf_id!r}") from None
 
     def ids(self) -> list[str]:
         return [g.id for g in self.gdfs]
 
     def parents_of(self, gdf_id: str) -> list[DependencyEdge]:
-        return [e for e in self.edges if e.target == gdf_id]
-
-
-def _breach_violations(attack: AttackType, where: str) -> list[Violation]:
-    out = []
-    b = attack.breach
-    try:
-        if isinstance(b, GordonLoebI):
-            GordonLoebI(b.alpha, b.beta)
-        elif isinstance(b, GordonLoebII):
-            GordonLoebII(b.alpha)
-            if not 0.0 < attack.baseline_prob < 1.0:
-                out.append(Violation(
-                    "ProbabilityOutOfRange", where,
-                    "GordonLoebII requires baseline_prob strictly inside (0, 1)",
-                ))
-        elif isinstance(b, Exponential):
-            Exponential(b.kappa)
-        elif isinstance(b, Table):
-            Table(b.knots)
-        else:
-            out.append(Violation("UnknownBreachModel", where, f"unknown breach model {b!r}"))
-    except NonConvexTableError as exc:
-        out.append(Violation("NonConvexTable", where, str(exc)))
-    except ModelError as exc:
-        out.append(Violation("InvalidBreachModel", where, str(exc)))
-    return out
+        return list(self._graph.parents.get(gdf_id, ()))
 
 
 def portfolio_violations(p: Portfolio) -> list[Violation]:
-    """Collect every invariant violation in ``p`` (empty list means valid)."""
+    """Collect every cross-object invariant violation in ``p`` (empty list
+    means valid).  Field-level invariants are enforced by the constructors."""
     out: list[Violation] = []
-
-    def money(value, where):
-        try:
-            _require_money(value, where)
-        except NegativeMoneyError as exc:
-            out.append(Violation("NegativeMoney", where, str(exc)))
-
-    def prob(value, where):
-        try:
-            _require_probability(value, where)
-        except ProbabilityOutOfRangeError as exc:
-            out.append(Violation("ProbabilityOutOfRange", where, str(exc)))
-
-    seen_gdfs = set()
+    seen = set()
     for gi, g in enumerate(p.gdfs):
-        where_g = f"gdfs[{gi}] ({g.id})"
-        if g.id in seen_gdfs:
-            out.append(Violation("DuplicateId", where_g, f"duplicate gdf id {g.id!r}"))
-        seen_gdfs.add(g.id)
-        money(g.ben, f"{where_g}.ben")
-        money(g.dir_costs, f"{where_g}.dir_costs")
-        if g.actual_spend is not None:
-            money(g.actual_spend, f"{where_g}.actual_spend")
-        seen_attacks = set()
-        for ai, a in enumerate(g.attacks):
-            where_a = f"{where_g}.attacks[{ai}] ({a.id})"
-            if a.id in seen_attacks:
-                out.append(Violation("DuplicateId", where_a, f"duplicate attack id {a.id!r}"))
-            seen_attacks.add(a.id)
-            prob(a.baseline_prob, f"{where_a}.baseline_prob")
-            money(a.loss, f"{where_a}.loss")
-            out.extend(_breach_violations(a, f"{where_a}.breach"))
-        for ei, ev in enumerate(g.adverse):
-            where_e = f"{where_g}.adverse[{ei}] ({ev.id})"
-            prob(ev.prob, f"{where_e}.prob")
-            money(ev.cost, f"{where_e}.cost")
+        if g.id in seen:
+            out.append(Violation("DuplicateId", f"gdfs[{gi}] ({g.id})", f"duplicate gdf id {g.id!r}"))
+        seen.add(g.id)
 
-    if p.budget is not None:
-        money(p.budget, "budget")
-
-    ids = set(seen_gdfs)
     for ei, e in enumerate(p.edges):
         where_e = f"edges[{ei}] ({e.source}->{e.target})"
-        if e.source == e.target:
-            out.append(Violation("SelfDependency", where_e, "edge endpoints must differ"))
         for endpoint in (e.source, e.target):
-            if endpoint not in ids:
+            if endpoint not in seen:
                 out.append(Violation("UnknownGdf", where_e, f"unknown gdf {endpoint!r}"))
-        if e.target in ids:
-            target = p.gdf(e.target)
-            attack_ids = {a.id for a in target.attacks}
-            for k, v in e.uplift.items():
+        if e.target in seen:
+            attack_ids = {a.id for a in p.gdf(e.target).attacks}
+            for k in e.uplift:
                 if k not in attack_ids:
                     out.append(Violation(
                         "UnknownAttack", where_e,
                         f"uplift names attack {k!r} not present on {e.target!r}",
                     ))
-                if not math.isfinite(v) or v < 1.0:
-                    out.append(Violation("InvalidUplift", where_e, f"uplift for {k!r} must be >= 1"))
 
     cycle = _find_cycle(p)
     if cycle:
@@ -486,35 +480,23 @@ def portfolio_violations(p: Portfolio) -> list[Violation]:
 
 
 def _find_cycle(p: Portfolio) -> list[str] | None:
-    adjacency: dict[str, list[str]] = {}
-    for e in p.edges:
-        adjacency.setdefault(e.source, []).append(e.target)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {gid: WHITE for gid in adjacency}
-    for targets in adjacency.values():
-        for t in targets:
-            color.setdefault(t, WHITE)
+    """One cycle as a closed path ``[a, b, ..., a]``, or None for a DAG.
 
-    def visit(node, path):
-        color[node] = GREY
-        path.append(node)
-        for nxt in adjacency.get(node, ()):
-            if color[nxt] == GREY:
-                return path[path.index(nxt):] + [nxt]
-            if color[nxt] == WHITE:
-                found = visit(nxt, path)
-                if found:
-                    return found
-        path.pop()
-        color[node] = BLACK
+    Every node Kahn's algorithm leaves over has a parent that is left over
+    too, so walking parents from one of them must revisit a node.
+    """
+    graph = p._graph
+    if not graph.cyclic:
         return None
-
-    for node in list(color):
-        if color[node] == WHITE:
-            found = visit(node, [])
-            if found:
-                return found
-    return None
+    node = next(n for n in (*graph.gdfs, *graph.parents) if n in graph.cyclic)
+    path: list[str] = []
+    index: dict[str, int] = {}
+    while node not in index:
+        index[node] = len(path)
+        path.append(node)
+        node = next(e.source for e in graph.parents[node] if e.source in graph.cyclic)
+    # path runs against the edges: path[i + 1] -> path[i]
+    return [node, *reversed(path[index[node] + 1:]), node]
 
 
 def validate_portfolio(p: Portfolio) -> Portfolio:

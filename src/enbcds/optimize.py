@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Callable, NamedTuple
 
-from .evaluate import ADDITIVE, EvalContext, enb, expected_cyber_cost
+from .evaluate import ADDITIVE, CoupledTotal, EvalContext, enb, expected_cyber_cost
 from .model import Gdf, Portfolio, restrict_portfolio
 
 __all__ = [
@@ -262,11 +262,6 @@ def _water_fill(gdfs, budget: float | None, mode: str) -> tuple[dict[str, float]
     return spends, lam
 
 
-def _total_objective(sub: Portfolio, spends: dict[str, float], mode: str) -> float:
-    ctx = EvalContext(sub, spends, mode)
-    return sum(enb(x, spends[x.id], ctx) for x in sub.gdfs)
-
-
 def _refine_with_edges(
     sub: Portfolio,
     spends: dict[str, float],
@@ -285,8 +280,7 @@ def _refine_with_edges(
     f0 = {x.id: expected_cyber_cost(x, 0.0) for x in sub.gdfs}
     cap = 1.0 + sum(a.loss for x in sub.gdfs for a in x.attacks)
 
-    def objective(sp: dict[str, float]) -> float:
-        return _total_objective(sub, sp, mode)
+    objective = CoupledTotal(sub, mode)
 
     def coupled_marginal(sp: dict[str, float], xid: str) -> float:
         h = 1e-6 * max(f0[xid], 1e-9 * scale, 1e-9)
@@ -418,17 +412,16 @@ def _allocate_grid(p: Portfolio, budget: float | None, mode: str, steps: int = 5
         spends[xid] = 0.0
 
     sub = restrict_portfolio(p, kept)
-    ctx = EvalContext(sub, {i: spends[i] for i in kept}, mode)
-    objective = sum(enb(x, spends[x.id], ctx) for x in sub.gdfs)
+    total = CoupledTotal(sub, mode)
+    objective = total(spends)
     marginals: dict[str, float] = {}
     for x in sub.gdfs:
         f0 = expected_cyber_cost(x, 0.0)
         h = 1e-6 * (f0 if f0 > 0.0 else 1.0)
         if sub.edges:
-            sp = {i: spends[i] for i in kept}
 
-            def along(t: float, xid=x.id, sp=sp) -> float:
-                return _total_objective(sub, {**sp, xid: t}, mode)
+            def along(t: float, xid=x.id) -> float:
+                return total({**spends, xid: t})
 
             marginals[x.id] = _numeric_derivative(along, spends[x.id], h)
         else:
@@ -508,12 +501,13 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
 
     objective = float(sum(values.values()))
     marginals: dict[str, float] = {}
+    total = CoupledTotal(sub, mode)
     for x in sub.gdfs:
         if sub.edges:
             h = 1e-6 * max(expected_cyber_cost(x, 0.0), 1e-9 * scale, 1e-9)
 
             def along(t: float, xid=x.id) -> float:
-                return _total_objective(sub, {**spends, xid: t}, mode)
+                return total({**spends, xid: t})
 
             marginals[x.id] = _numeric_derivative(along, spends[x.id], h)
         else:
