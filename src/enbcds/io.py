@@ -345,6 +345,36 @@ def _parse_uncertain(obj, path: str, lenient: bool) -> UncertainParam:
         raise ValidationError(f"{path}: {exc}", path=path) from exc
 
 
+# lowest value each uncertain target field accepts, and whether the bound
+# itself is allowed; probability fields are clamped per draw instead
+_FIELD_FLOORS = {
+    **dict.fromkeys(("budget", "ben", "dir_costs", "actual_spend", "loss", "cost"), (0.0, True)),
+    "alpha": (0.0, False),
+    "kappa": (0.0, False),
+    "beta": (1.0, True),
+    "uplift": (1.0, True),
+}
+
+
+def _check_support(param: UncertainParam, path: str) -> None:
+    """Reject a distribution whose support leaves its target field's domain."""
+    parent, field = param.target.split("/")[-2:]
+    if parent == "uplift":  # the last token is an attack id
+        field = parent
+    floor = _FIELD_FLOORS.get(field)
+    if floor is None:
+        return
+    bound, inclusive = floor
+    dist = param.distribution
+    low = dist.value if isinstance(dist, Point) else dist.lo
+    if low < bound or (low == bound and not inclusive):
+        raise ValidationError(
+            f"{path}: support of {param.target} reaches {low!r}, but {field} must be "
+            f"{'>=' if inclusive else '>'} {bound:g}",
+            path=path,
+        )
+
+
 def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
     """Parse and fully validate a scenario document.
 
@@ -379,6 +409,7 @@ def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
             _resolve_parent(resolved_doc, param.target)
         except SensitivityError as exc:
             raise ValidationError(f"/uncertainty/{i}: {exc}", path=f"/uncertainty/{i}") from exc
+        _check_support(param, f"/uncertainty/{i}/distribution")
     return ScenarioFile(
         schema_version=SCHEMA_VERSION,
         portfolio=portfolio,

@@ -7,11 +7,13 @@ finds it.  Portfolio: maximize the summed net benefit subject to a shared
 budget.  Without dependency edges the problem is separable and concave, so
 water-filling applies: bisect on the common marginal value ``lam`` and give
 each GDF the spend where its own marginal equals ``lam`` (clamped to ``[0,
-s*]``).  Non-mandatory GDFs whose net benefit is negative at their allocated
-spend are dropped, their budget freed, and the program re-solved until the
-drop set is stable.  With edges the coupled objective is polished by
-coordinate ascent plus pairwise budget transfers, which also equalize
-marginals when the budget binds.
+s*]``), found by a tolerance-terminated bracketed root finder (Illinois
+false position).  Non-mandatory GDFs whose net benefit is negative at their
+allocated spend are dropped, their budget freed, and the program re-solved
+until the drop set is stable.  With edges the coupled objective is polished
+by coordinate ascent plus pairwise budget transfers; the same root finder
+then equalizes each funded pair's marginals, and sweeps go on until the
+objective stalls and the KKT certificate is tight.
 
 The literal evaluation mode breaks concavity, so both the single-GDF solver
 and the allocator fall back to grid search there.
@@ -85,14 +87,54 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) 
 
 
 def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float, target: float, iters: int = 100) -> float:
-    """Solve ``fn(s) = target`` for decreasing ``fn`` with ``fn(lo) >= target >= fn(hi)``."""
+    """Solve ``fn(s) = target`` for decreasing ``fn`` with ``fn(lo) >= target >= fn(hi)``.
+
+    Illinois false position (Dowell & Jarratt, BIT 11, 1971): a secant step
+    inside the sign-changing bracket, halving the stale end's residual when
+    the same end moves twice running, so both ends close in superlinearly.
+    A step that leaves its end with more than half the residual it replaced,
+    as on a plateau of a piecewise-linear marginal, is followed by a
+    bisection step.  Stops once the bracket is narrower than 1e-13 of its
+    starting width or ``fn`` hits ``target`` exactly; ``iters`` only guards
+    the loop.  Returns ``lo`` when ``fn(lo) <= target`` and ``hi`` when
+    ``fn(hi) >= target``.
+    """
+    fa = fn(lo) - target
+    if fa <= 0.0:
+        return lo
+    fb = fn(hi) - target
+    if fb >= 0.0:
+        return hi
+    a, b = lo, hi
+    tol = 1e-13 * (hi - lo)
+    side = 0
+    stalled = False
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= target:
-            lo = mid
+        if b - a <= tol:
+            break
+        if stalled:
+            c = 0.5 * (a + b)
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            # at least half a tolerance inside, so that a root sitting at
+            # one end closes the bracket from the other end in one step
+            c = b - fb * (b - a) / (fb - fa)
+            c = min(max(c, a + 0.5 * tol), b - 0.5 * tol)
+        fc = fn(c) - target
+        if fc == 0.0:
+            return c
+        if fc > 0.0:
+            stalled = fc > 0.5 * fa
+            a, fa = c, fc
+            if side > 0:
+                fb *= 0.5
+            side = 1
+        else:
+            stalled = fc < 0.5 * fb
+            b, fb = c, fc
+            if side < 0:
+                fa *= 0.5
+            side = -1
+    return 0.5 * (a + b)
 
 
 def _numeric_derivative(fn: Callable[[float], float], s: float, h: float) -> float:
@@ -262,6 +304,15 @@ def _water_fill(gdfs, budget: float | None, mode: str) -> tuple[dict[str, float]
     return spends, lam
 
 
+def _interior(
+    spends: dict[str, float], marginals: dict[str, float], budget: float | None, scale: float
+) -> dict[str, bool]:
+    """GDFs whose marginals should all equal ``lam``: funded, with a positive
+    marginal, and only while the budget binds."""
+    exhausted = budget is not None and sum(spends.values()) >= budget - 1e-6 * max(1.0, budget)
+    return {i: exhausted and spends[i] > 1e-12 * scale and m > 1e-7 for i, m in marginals.items()}
+
+
 def _refine_with_edges(
     sub: Portfolio,
     spends: dict[str, float],
@@ -273,8 +324,14 @@ def _refine_with_edges(
 
     Transfers matter once the budget is exhausted: no single coordinate can
     then move upward, but shifting spend between two GDFs still can.  A
-    bisection step afterwards equalizes the two marginals exactly, which
-    keeps the KKT certificate tight.
+    golden search finds each pair's best transfer; a root finder then zeroes
+    the pair's marginal gap ``m_x - m_y``, which is minus the slope of the
+    objective along the transfer: one central difference (2 probes, with
+    the step of the GDF with the smaller ``f(0)``), or the two coupled
+    marginals where that step would leave ``[-s_y, s_x]``.  Sweeps stop when
+    one gains at most 1e-9 * scale, unless the relative spread of the
+    interior marginals that the KKT certificate compares is still above
+    1e-5 and the last stalled sweep at least halved it.
     """
     ids = [x.id for x in sub.gdfs]
     f0 = {x.id: expected_cyber_cost(x, 0.0) for x in sub.gdfs}
@@ -290,6 +347,15 @@ def _refine_with_edges(
 
         return _numeric_derivative(along, sp[xid], h)
 
+    def kkt_spread() -> float:
+        marginals = {xid: coupled_marginal(spends, xid) for xid in ids}
+        inner = [marginals[i] for i, inside in _interior(spends, marginals, budget, scale).items() if inside]
+        if len(inner) < 2:
+            return 0.0
+        lo, hi = min(inner), max(inner)
+        return (hi - lo) / max(abs(hi), abs(lo))
+
+    last_spread = math.inf
     obj = objective(spends)
     sweep_objectives = [obj]
     tol_obj = 1e-9 * scale
@@ -332,17 +398,25 @@ def _refine_with_edges(
                 if best_v > obj and best_d != 0.0:
                     spends.update(shifted(best_d))
                     obj = best_v
-                # marginal equalization between two funded GDFs (bisection is
-                # far sharper than the golden step above)
+                # marginal equalization between two funded GDFs (root finding
+                # is far sharper than the golden step above)
                 sx, sy = spends[xid], spends[yid]
                 if sx > 0.0 and sy > 0.0:
+                    h = 1e-6 * max(min(f0[xid], f0[yid]), 1e-9 * scale, 1e-9)
 
                     def gap(delta: float) -> float:
+                        # m_x - m_y is minus the slope along the transfer
+                        if -sy <= delta - h and delta + h <= sx:
+                            down = objective(shifted(delta - h, sx=sx, sy=sy))
+                            up = objective(shifted(delta + h, sx=sx, sy=sy))
+                            return (down - up) / (2.0 * h)
                         sp = shifted(delta, sx=sx, sy=sy)
                         return coupled_marginal(sp, xid) - coupled_marginal(sp, yid)
 
-                    if gap(-sy) < 0.0 < gap(sx):
-                        delta = _bisect_decreasing(lambda d: -gap(d), -sy, sx, 0.0, iters=60)
+                    # the root finder returns an end of [-sy, sx] exactly when
+                    # the gap does not change sign strictly inside it
+                    delta = _bisect_decreasing(lambda d: -gap(d), -sy, sx, 0.0)
+                    if -sy < delta < sx:
                         trial = shifted(delta, sx=sx, sy=sy)
                         trial_obj = objective(trial)
                         if trial_obj >= obj - 1e-12 * scale:
@@ -353,7 +427,12 @@ def _refine_with_edges(
                 spends[xid] = 0.0
         sweep_objectives.append(obj)
         if obj - before <= tol_obj:
-            break
+            # a small objective gain can hide a loose certificate where the
+            # objective is flat; sweep on while that spread keeps halving
+            spread = kkt_spread()
+            if spread <= 1e-5 or spread > 0.5 * last_spread:
+                break
+            last_spread = spread
     return spends, sweeps, sweep_objectives
 
 
@@ -512,13 +591,7 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
             marginals[x.id] = _numeric_derivative(along, spends[x.id], h)
         else:
             marginals[x.id] = _standalone_marginal(x)(spends[x.id])
-    exhausted = effective is not None and sum(spends.values()) >= effective - 1e-6 * max(
-        1.0, effective
-    )
-    interior = {
-        i: exhausted and spends[i] > 1e-12 * scale and marginals[i] > 1e-7
-        for i in (x.id for x in sub.gdfs)
-    }
+    interior = _interior(spends, marginals, effective, scale)
     if sub.edges and any(interior.values()):
         lam = median(marginals[i] for i, inside in interior.items() if inside)
     if not sweep_objectives:

@@ -286,8 +286,11 @@ def sample(
     computes the requested ``quantities``.  Restricting ``quantities`` to
     ``("params",)`` skips portfolio rebuilds and solves, which makes very
     large draw counts cheap while exercising the identical sampling path.
+    A draw whose values break the portfolio's rules raises SensitivityError
+    naming the lowest such draw index and the targets drawn into the broken
+    part.
     """
-    from .io import portfolio_from_dict, portfolio_to_dict  # deferred: io imports this module
+    from .io import ValidationError, portfolio_from_dict, portfolio_to_dict  # deferred: io imports this module
 
     draws = int(draws)
     if draws < 1:
@@ -340,7 +343,15 @@ def sample(
             param_values[i, j] = value
         if not needs_rebuild:
             return
-        drawn = portfolio_from_dict(doc["portfolio"])
+        try:
+            drawn = portfolio_from_dict(doc["portfolio"])
+        except ValidationError as exc:
+            # name the drawn targets inside the part of the portfolio that failed
+            where = exc.path + "/"
+            targets = [p.target for p in params if p.target.startswith(where)]
+            raise SensitivityError(
+                f"draw {i}, target {', '.join(targets or (p.target for p in params))}: {exc}"
+            ) from exc
         if want_enbcds:
             ctx = EvalContext(drawn, spends_used)
             for k, gid in enumerate(gdf_ids):

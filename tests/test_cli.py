@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import enbcds
 from enbcds import (
     bundled_scenario,
     bundled_scenario_text,
@@ -66,6 +67,33 @@ class TestExitCodes:
         code = main(["validate", str(tmp_path / "nope.json")])
         assert code == 1
         assert "error:" in capfd.readouterr().err
+
+    def test_uncertain_support_outside_domain_fails_validation(self, tmp_path, capfd):
+        doc = json.loads(bundled_scenario_text("remote-scada"))
+        doc["uncertainty"] = [{
+            "target": "/portfolio/gdfs/0/attacks/0/loss",
+            "distribution": {"kind": "uniform", "lo": -1e6, "hi": 1e6},
+        }]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "/uncertainty/0/distribution" in capfd.readouterr().err
+
+    def test_invalid_draw_is_exit_1_naming_draw_and_target(self, tmp_path, capfd):
+        doc = json.loads(MINIMAL)
+        doc["portfolio"]["gdfs"][0]["attacks"] = [{
+            "id": "g2", "baseline_prob": 0.5, "loss": 1e4,
+            "breach": {"family": "gordon-loeb-2", "alpha": 1e-3},
+        }]
+        # a baseline of 1 is a valid probability but not for GordonLoebII
+        target = "/portfolio/gdfs/0/attacks/0/baseline_prob"
+        doc["uncertainty"] = [{"target": target, "distribution": {"kind": "point", "value": 1.0}}]
+        path = tmp_path / "gl2.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        capfd.readouterr()
+        assert main(["sample", str(path), "--draws", "3", "--seed", "0"]) == 1
+        assert f"error: draw 0, target {target}:" in capfd.readouterr().err
 
     def test_malformed_json_is_exit_1(self, tmp_path, capfd):
         path = tmp_path / "broken.json"
@@ -279,10 +307,14 @@ class TestReport:
 
 class TestInstalledEntryPoint:
     def test_module_invocation_round_trip(self, minimal_file):
+        # the child must import the same enbcds as this test, installed or not
+        src = os.path.dirname(os.path.dirname(enbcds.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "enbcds.cli", "validate", minimal_file],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout == "OK\n"

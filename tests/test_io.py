@@ -51,6 +51,18 @@ def minimal_doc() -> dict:
     return json.loads(MINIMAL)
 
 
+def attack_doc() -> dict:
+    """The minimal document with one power-law and one exponential attack."""
+    doc = minimal_doc()
+    doc["portfolio"]["gdfs"][0]["attacks"] = [
+        {"id": "a", "baseline_prob": 0.3, "loss": 50.0,
+         "breach": {"family": "gordon-loeb-1", "alpha": 0.1, "beta": 1.5}},
+        {"id": "b", "baseline_prob": 0.2, "loss": 40.0,
+         "breach": {"family": "exponential", "kappa": 0.05}},
+    ]
+    return doc
+
+
 class TestParseScenario:
     def test_minimal_document_defaults(self):
         sf = parse_scenario(MINIMAL)
@@ -182,6 +194,45 @@ class TestParseScenario:
         with pytest.raises(ValidationError) as err:
             parse_scenario(json.dumps(doc))
         assert "/uncertainty/0" in err.value.path
+
+    @pytest.mark.parametrize(
+        "field,dist",
+        [
+            ("attacks/0/loss", {"kind": "uniform", "lo": -1e6, "hi": 1e6}),
+            ("ben", {"kind": "triangular", "lo": -1.0, "mode": 50.0, "hi": 100.0}),
+            ("attacks/0/breach/alpha", {"kind": "point", "value": 0.0}),
+            ("attacks/0/breach/beta", {"kind": "pert", "lo": 0.5, "mode": 1.5, "hi": 2.0}),
+            ("attacks/1/breach/kappa", {"kind": "uniform", "lo": 0.0, "hi": 1e-3}),
+        ],
+    )
+    def test_uncertain_support_outside_the_field_domain_rejected(self, field, dist):
+        doc = attack_doc()
+        doc["uncertainty"] = [{"target": f"/portfolio/gdfs/0/{field}", "distribution": dist}]
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert err.value.path == "/uncertainty/0/distribution"
+        assert f"/portfolio/gdfs/0/{field}" in str(err.value)
+
+    def test_uncertain_uplift_below_one_rejected(self):
+        doc = attack_doc()
+        doc["portfolio"]["gdfs"].append({"id": "up", "ben": 10.0, "dir_costs": 1.0})
+        doc["portfolio"]["edges"] = [{"source": "up", "target": "solo", "uplift": {"a": 2.0}}]
+        doc["uncertainty"] = [
+            {"target": "/portfolio/edges/0/uplift/a", "distribution": {"kind": "uniform", "lo": 0.9, "hi": 3.0}}
+        ]
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert err.value.path == "/uncertainty/0/distribution"
+
+    def test_uncertain_support_on_the_domain_boundary_accepted(self):
+        doc = attack_doc()
+        doc["uncertainty"] = [
+            {"target": "/portfolio/gdfs/0/attacks/0/loss", "distribution": {"kind": "uniform", "lo": 0.0, "hi": 1.0}},
+            {"target": "/portfolio/gdfs/0/attacks/0/breach/beta", "distribution": {"kind": "point", "value": 1.0}},
+            {"target": "/portfolio/gdfs/0/attacks/1/breach/kappa", "distribution": {"kind": "uniform", "lo": 1e-9, "hi": 1.0}},
+            {"target": "/portfolio/gdfs/0/attacks/0/baseline_prob", "distribution": {"kind": "uniform", "lo": -1.0, "hi": 2.0}},
+        ]
+        assert len(parse_scenario(json.dumps(doc)).uncertainty) == 4
 
     def test_uncertainty_parses_into_distributions(self):
         doc = minimal_doc()

@@ -3,15 +3,19 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from enbcds import (
+    AttackType,
     EvalContext,
     Gdf,
+    GordonLoebII,
     InvalidDistributionError,
     Pert,
     Point,
     Portfolio,
+    SensitivityError,
     Triangular,
     UncertainParam,
     Uniform,
@@ -235,6 +239,36 @@ class TestClamping:
                    quantities=("params",))
         assert r.clamp_events[target] == 0
         assert r.param_stats[target].mean > 1.0
+
+
+class TestInvalidDraws:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_draw_names_its_index_and_target(self, threads):
+        # GordonLoebII needs a baseline strictly inside (0, 1), so a drawn
+        # baseline that clamps to 1 breaks the drawn portfolio
+        attack = AttackType(id="g2", baseline_prob=0.5, loss=1e4, breach=GordonLoebII(alpha=1e-3))
+        p = Portfolio(gdfs=(Gdf(id="x", ben=1e5, attacks=(attack,)),))
+        target = "/portfolio/gdfs/0/attacks/0/baseline_prob"
+        seed = 7
+
+        def baseline(i):
+            # each draw's Philox substream, keyed by (seed, index), samples
+            # the parameters in order: the benefit first, then the baseline
+            rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+            rng.uniform(9e4, 1.1e5)
+            return rng.uniform(0.5, 1.5)
+
+        first = next(i for i in range(100) if baseline(i) >= 1.0)
+        assert first > 0
+        params = [
+            UncertainParam("/portfolio/gdfs/0/ben", Uniform(9e4, 1.1e5)),
+            UncertainParam(target, Uniform(0.5, 1.5)),
+        ]
+        with pytest.raises(SensitivityError) as err:
+            sample(p, params, draws=8, seed=seed, threads=threads, quantities=("s_star",))
+        message = str(err.value)
+        assert message.startswith(f"draw {first}, target {target}:")
+        assert "GordonLoebII" in message
 
 
 class TestDeterminism:

@@ -1,0 +1,257 @@
+"""The allocator's root finder and its coupled refinement.
+
+The root finder is checked against closed-form inverse marginals and
+known step locations, never against another run of itself.  The coupled
+refinement is checked on a corpus of stars, chains and diamonds: its KKT
+certificate must be tight, and no budget transfer between two retained
+GDFs, scored by the enumeration oracle, may beat the reported allocation.
+"""
+
+import dataclasses
+import math
+import time
+
+import numpy as np
+import pytest
+
+from enbcds import AttackType, DependencyEdge, Gdf, GordonLoebI, Portfolio, Table, allocate
+from enbcds.optimize import _bisect_decreasing, _standalone_marginal, _water_fill
+
+from oracles import (
+    PARAMETRIC,
+    grid_argmax,
+    make_rng,
+    oracle_enb,
+    oracle_f,
+    oracle_noncyber,
+    oracle_total,
+    random_gdf,
+)
+
+
+# --------------------------------------------------------------------------
+# closed-form inverse marginals of single-attack GDFs
+#
+# additive mode: m(s) = -1 - p*L*g'(s), so m(s) = lam solves to
+#   gl1: (alpha*s + 1)**(beta + 1) = p*L*alpha*beta / (1 + lam)
+#   exp: exp(kappa*s) = p*L*kappa / (1 + lam)
+# and the spend is clamped at 0 where m(0) <= lam.
+
+
+def inverse_marginal(x: Gdf, lam: float) -> float:
+    (a,) = x.attacks
+    pull = a.baseline_prob * a.loss / (1.0 + lam)
+    b = a.breach
+    if isinstance(b, GordonLoebI):
+        s = ((pull * b.alpha * b.beta) ** (1.0 / (b.beta + 1.0)) - 1.0) / b.alpha
+    else:
+        s = math.log(pull * b.kappa) / b.kappa
+    return max(0.0, s)
+
+
+def single_attack_gdfs(seed: int, n: int) -> list[Gdf]:
+    rng = make_rng(seed)
+    return [
+        random_gdf(rng, f"sa-{i}", n_attacks=1, families=(("gl1",), ("exp",))[i % 2])
+        for i in range(n)
+    ]
+
+
+class TestRootFinderAgainstClosedForms:
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_peaks_match_inverse_marginal_at_zero(self, seed):
+        gdfs = single_attack_gdfs(seed, 8)
+        peaks, lam = _water_fill(gdfs, None, "additive")
+        assert lam == 0.0
+        assert any(peaks.values())
+        for x in gdfs:
+            assert peaks[x.id] == pytest.approx(inverse_marginal(x, 0.0), rel=1e-9)
+
+    @pytest.mark.parametrize("share", [0.05, 0.3, 0.7])
+    def test_spends_match_inverse_marginal_at_lam(self, share):
+        gdfs = single_attack_gdfs(41, 10)
+        budget = share * sum(inverse_marginal(x, 0.0) for x in gdfs)
+        spends, lam = _water_fill(gdfs, budget, "additive")
+        assert lam > 0.0
+        assert sum(spends.values()) == pytest.approx(budget, rel=1e-9)
+        for x in gdfs:
+            peak = inverse_marginal(x, 0.0)
+            assert spends[x.id] == pytest.approx(inverse_marginal(x, lam), rel=1e-9, abs=1e-12 * peak)
+
+    def test_returns_lo_when_target_is_not_above_fn_lo(self):
+        assert _bisect_decreasing(lambda s: 1.0 - s, 0.25, 2.0, 0.75) == 0.25
+        assert _bisect_decreasing(lambda s: 1.0 - s, 0.25, 2.0, 0.9) == 0.25
+
+    def test_returns_hi_when_target_is_not_below_fn_hi(self):
+        assert _bisect_decreasing(lambda s: 1.0 - s, 0.0, 0.5, 0.5) == 0.5
+        assert _bisect_decreasing(lambda s: 1.0 - s, 0.0, 0.5, 0.4) == 0.5
+
+    def test_smooth_root_to_tolerance_in_few_evaluations(self):
+        calls = []
+
+        def fn(s):
+            calls.append(s)
+            return math.exp(-3.0 * s) - 0.2
+
+        root = _bisect_decreasing(fn, 0.0, 10.0, 0.0)
+        assert root == pytest.approx(math.log(5.0) / 3.0, rel=1e-12)
+        assert len(calls) <= 20
+
+    @pytest.mark.parametrize("level", [1e-12, 1e-3, 1.0])
+    def test_step_closes_on_the_jump(self, level):
+        # a plateau just above the target stalls plain false position; the
+        # bisection fallback must still close on the jump at 0.7
+        def fn(s):
+            return level if s < 0.7 else -1.0
+
+        root = _bisect_decreasing(fn, 0.0, 1.0, 0.0)
+        assert abs(root - 0.7) <= 1e-13
+
+
+TABLE_ATTACK = AttackType(
+    id="t",
+    baseline_prob=0.5,
+    loss=1e5,
+    breach=Table(knots=((0.0, 1.0), (1e4, 0.5), (3e4, 0.3), (6e4, 0.25))),
+)
+# p*L = 5e4 and the segment slopes -5e-5, -1e-5, -1/6e5 give a staircase
+# marginal 1.5, -0.5, -11/12, then -1 past the last knot
+TABLE_GDF = Gdf(id="tbl", ben=1e6, attacks=(TABLE_ATTACK,))
+
+
+class TestRootFinderOnTable:
+    @pytest.mark.parametrize("target,kink", [(0.0, 1e4), (-0.7, 3e4), (-0.95, 6e4)])
+    def test_root_sits_on_the_jump_between_plateaus(self, target, kink):
+        m = _standalone_marginal(TABLE_GDF)
+        lo, hi = 0.0, 9e4
+        h = 1e-6 * 5e4  # the marginal's central-difference step
+        root = _bisect_decreasing(m, lo, hi, target)
+        assert lo <= root <= hi
+        assert abs(root - kink) <= h
+        eps = 1e-10 * (hi - lo)
+        assert m(root - eps) > target > m(root + eps)
+
+    def test_target_on_a_plateau_lands_on_that_plateau(self):
+        m = _standalone_marginal(TABLE_GDF)
+        root = _bisect_decreasing(m, 0.0, 5e4, -0.5)
+        h = 1e-6 * 5e4
+        assert 1e4 - h <= root <= 3e4 + h
+        assert m(root) == pytest.approx(-0.5, abs=1e-6)
+
+    def test_water_fill_spends_are_bracketed_and_use_the_budget(self):
+        gdfs = [
+            dataclasses.replace(TABLE_GDF, id=f"tbl-{i}", attacks=(dataclasses.replace(TABLE_ATTACK, loss=(1 + i) * 1e5),))
+            for i in range(3)
+        ]
+        peaks, _ = _water_fill(gdfs, None, "additive")
+        budget = 0.5 * sum(peaks.values())
+        spends, lam = _water_fill(gdfs, budget, "additive")
+        assert sum(spends.values()) == pytest.approx(budget, rel=1e-12)
+        for x in gdfs:
+            m = _standalone_marginal(x)
+            assert 0.0 <= spends[x.id] <= peaks[x.id]
+            if 0.0 < spends[x.id] < peaks[x.id]:
+                assert m(spends[x.id] - 1e-3) >= lam - 1e-9
+                assert m(spends[x.id] + 1e-3) <= lam + 1e-9
+
+
+# --------------------------------------------------------------------------
+# coupled allocation corpus: stars, chains and diamonds of 3-6 GDFs
+
+
+def _shape_edges(shape: str, n: int) -> list[tuple[int, int]]:
+    if shape == "star":
+        return [(i, n - 1) for i in range(n - 1)]
+    if shape == "chain":
+        return [(i, i + 1) for i in range(n - 1)]
+    head = [(0, 1), (0, 2), (1, 2)] if n == 3 else [(0, 1), (0, 2), (1, 3), (2, 3)]
+    return head + [(i, i + 1) for i in range(3, n - 1)]
+
+
+def shaped_portfolio(rng, shape: str, n: int, tag: str) -> Portfolio:
+    """Parametric GDFs joined in ``shape``, uplifts drawn from [1.2, 5] and
+    the budget half the summed standalone peaks.  Every GDF is padded
+    against its all-parents-compromised zero-spend loss plus the budget, so
+    the drop rule never fires, even on a parent funded past its own peak
+    to shield its children."""
+    gdfs = [random_gdf(rng, f"{tag}-{i}", n_attacks=2, families=PARAMETRIC) for i in range(n)]
+    peaks = [grid_argmax(lambda s, x=x: oracle_enb(x, s), 0.0, oracle_f(x, 0.0), 801)[0] for x in gdfs]
+    budget = 0.5 * sum(peaks)
+    edges = []
+    worst = {x.id: {a.id: 1.0 for a in x.attacks} for x in gdfs}
+    for src, dst in _shape_edges(shape, n):
+        child = gdfs[dst]
+        uplift = {a.id: float(rng.uniform(1.2, 5.0)) for a in child.attacks if rng.uniform() < 0.8}
+        if not uplift:
+            uplift = {child.attacks[0].id: float(rng.uniform(1.2, 5.0))}
+        for aid, u in uplift.items():
+            worst[child.id][aid] *= u
+        edges.append(DependencyEdge(source=gdfs[src].id, target=child.id, uplift=uplift))
+    for i, x in enumerate(gdfs):
+        f0 = sum(min(1.0, a.baseline_prob * worst[x.id][a.id]) * a.loss for a in x.attacks)
+        gdfs[i] = dataclasses.replace(x, ben=x.dir_costs + oracle_noncyber(x) + 1.1 * f0 + budget)
+    return Portfolio(gdfs=tuple(gdfs), edges=tuple(edges), budget=budget)
+
+
+def coupled_corpus() -> list[Portfolio]:
+    # the oracle's enumeration grows fast with depth and fan-in, so the
+    # larger shapes are drawn less often
+    rng = make_rng(20260901)
+    return [
+        shaped_portfolio(rng, shape, n, f"{shape}{k}")
+        for shape in ("star", "chain", "diamond")
+        for k, n in enumerate((3, 3, 3, 4, 4, 4, 5, 5, 5, 6))
+    ]
+
+
+def best_transfer_gain(p: Portfolio, spends: dict[str, float], points: int = 41) -> float:
+    """Largest oracle-scored gain of moving spend between two funded GDFs,
+    over a uniform grid of transfers covering each pair's whole range."""
+    base = oracle_total(p, spends)
+    ids = [x.id for x in p.gdfs]
+    best = 0.0
+    for i, xid in enumerate(ids):
+        for yid in ids[i + 1:]:
+            sx, sy = spends[xid], spends[yid]
+            if sx <= 0.0 and sy <= 0.0:
+                continue
+            for delta in np.linspace(-sy, sx, points):
+                moved = {**spends, xid: sx - float(delta), yid: sy + float(delta)}
+                best = max(best, oracle_total(p, moved) - base)
+    return best
+
+
+def test_coupled_corpus_is_kkt_tight_and_transfer_optimal():
+    corpus = coupled_corpus()
+    assert len(corpus) >= 30
+    start = time.perf_counter()
+    worst_spread, worst_gain = 0.0, -math.inf
+    for p in corpus:
+        r = allocate(p)
+        assert not r.dropped
+        scale = max(1.0, sum(oracle_f(x, 0.0) for x in p.gdfs))
+        assert r.objective == pytest.approx(oracle_total(p, r.spends), abs=1e-9 * scale)
+        marginals = [r.marginal_at_solution[g] for g, inside in r.interior.items() if inside]
+        if len(marginals) >= 2:
+            lo, hi = min(marginals), max(marginals)
+            spread = (hi - lo) / max(1e-12, abs(hi), abs(lo))
+            worst_spread = max(worst_spread, spread)
+            assert spread <= 1e-4
+        gain = best_transfer_gain(p, r.spends) / scale
+        worst_gain = max(worst_gain, gain)
+        assert gain <= 1e-6
+    print(f"{len(corpus)} coupled portfolios: worst KKT spread {worst_spread:.2e}, "
+          f"worst transfer gain {worst_gain:.2e} of scale, "
+          f"{time.perf_counter() - start:.1f}s")
+
+
+def test_kkt_certificate_holds_where_the_objective_is_flat():
+    # sweeps stopped on the objective gain alone left this diamond with a
+    # KKT spread of 1.9e-4: the objective barely moves along the last
+    # transfers while the marginals still disagree
+    p = shaped_portfolio(make_rng(10), "diamond", 5, "flat")
+    r = allocate(p)
+    marginals = [r.marginal_at_solution[g] for g, inside in r.interior.items() if inside]
+    assert len(marginals) >= 2
+    lo, hi = min(marginals), max(marginals)
+    assert (hi - lo) / max(abs(hi), abs(lo)) <= 1e-4
