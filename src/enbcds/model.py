@@ -18,6 +18,7 @@ threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Union
@@ -189,7 +190,7 @@ class Table:
     are non-increasing within (0, 1], and segment slopes must be
     non-decreasing (convexity).  Past the last knot the multiplier stays
     constant, which preserves convexity because slopes are non-positive.
-    Derivatives for this family are taken numerically by the optimizer.
+    The slope is the right derivative: at a knot, the next segment's.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -224,19 +225,20 @@ class Table:
 
     def multiplier(self, s: float, baseline: float | None = None) -> float:
         knots = self.knots
-        if s >= knots[-1][0]:
+        i = bisect_right(knots, (s, math.inf), 1)  # knots[i - 1][0] <= s < knots[i][0]
+        if i == len(knots):
             return knots[-1][1]
-        lo = 0
-        hi = len(knots) - 1
-        while hi - lo > 1:  # knots[lo][0] <= s < knots[hi][0]
-            mid = (lo + hi) // 2
-            if knots[mid][0] <= s:
-                lo = mid
-            else:
-                hi = mid
-        s1, m1 = knots[lo]
-        s2, m2 = knots[hi]
+        (s1, m1), (s2, m2) = knots[i - 1], knots[i]
         return m1 + (m2 - m1) * (s - s1) / (s2 - s1)
+
+    def multiplier_derivative(self, s: float, baseline: float | None = None) -> float:
+        """Right derivative: the slope of the segment starting at or before ``s``."""
+        knots = self.knots
+        i = bisect_right(knots, (s, math.inf), 1)
+        if i == len(knots):
+            return 0.0
+        (s1, m1), (s2, m2) = knots[i - 1], knots[i]
+        return (m2 - m1) / (s2 - s1)
 
 
 BreachModel = Union[GordonLoebI, GordonLoebII, Exponential, Table]

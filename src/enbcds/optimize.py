@@ -8,12 +8,14 @@ budget.  Without dependency edges the problem is separable and concave, so
 water-filling applies: bisect on the common marginal value ``lam`` and give
 each GDF the spend where its own marginal equals ``lam`` (clamped to ``[0,
 s*]``), found by a tolerance-terminated bracketed root finder (Illinois
-false position).  Non-mandatory GDFs whose net benefit is negative at their
-allocated spend are dropped, their budget freed, and the program re-solved
-until the drop set is stable.  With edges the coupled objective is polished
+false position), on the analytic marginal ``-1 - sum p * L * g'(s)``.
+Non-mandatory GDFs whose net benefit is negative at their allocated spend
+are dropped, their budget freed, and the program re-solved until the drop
+set is stable.  With edges the coupled objective is polished
 by coordinate ascent plus pairwise budget transfers; the same root finder
 then equalizes each funded pair's marginals, and sweeps go on until the
-objective stalls and the KKT certificate is tight.
+objective stalls and the KKT certificate is tight.  The coupled objective's
+marginal along one spend is one central difference, ``_coupled_marginal``.
 
 The literal evaluation mode breaks concavity, so both the single-GDF solver
 and the allocator fall back to grid search there.
@@ -41,6 +43,8 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ROOT_ITERS = 100  # guards the root finder's loop; its tolerance ends it first
+_GRID_STEPS = 512  # budget cells of the literal-mode grid search
 
 
 class OptimizationError(Exception):
@@ -86,7 +90,7 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) 
     return mid, fn(mid)
 
 
-def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float, target: float, iters: int = 100) -> float:
+def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float, target: float) -> float:
     """Solve ``fn(s) = target`` for decreasing ``fn`` with ``fn(lo) >= target >= fn(hi)``.
 
     Illinois false position (Dowell & Jarratt, BIT 11, 1971): a secant step
@@ -95,8 +99,8 @@ def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float, targe
     A step that leaves its end with more than half the residual it replaced,
     as on a plateau of a piecewise-linear marginal, is followed by a
     bisection step.  Stops once the bracket is narrower than 1e-13 of its
-    starting width or ``fn`` hits ``target`` exactly; ``iters`` only guards
-    the loop.  Returns ``lo`` when ``fn(lo) <= target`` and ``hi`` when
+    starting width or ``fn`` hits ``target`` exactly; ``_ROOT_ITERS`` only
+    guards the loop.  Returns ``lo`` when ``fn(lo) <= target`` and ``hi`` when
     ``fn(hi) >= target``.
     """
     fa = fn(lo) - target
@@ -109,7 +113,7 @@ def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float, targe
     tol = 1e-13 * (hi - lo)
     side = 0
     stalled = False
-    for _ in range(iters):
+    for _ in range(_ROOT_ITERS):
         if b - a <= tol:
             break
         if stalled:
@@ -137,37 +141,48 @@ def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float, targe
     return 0.5 * (a + b)
 
 
-def _numeric_derivative(fn: Callable[[float], float], s: float, h: float) -> float:
-    if s < h:  # one-sided at the lower boundary: spends cannot go negative
-        return (fn(s + h) - fn(s)) / h
-    return (fn(s + h) - fn(s - h)) / (2.0 * h)
-
-
 def _standalone_marginal(x: Gdf) -> Callable[[float], float]:
-    """d(net benefit)/d(spend) for ``x`` alone, additive mode, no parents.
-
-    Analytic when every breach model exposes a derivative; otherwise a
-    central difference with step 1e-6 * f(0).
-    """
-    if all(hasattr(a.breach, "multiplier_derivative") for a in x.attacks):
-        attacks = x.attacks
-
-        def marginal(s: float) -> float:
-            slope = sum(
-                a.baseline_prob * a.loss * a.breach.multiplier_derivative(s, a.baseline_prob)
-                for a in attacks
-            )
-            return -1.0 - slope
-
-        return marginal
-
-    f0 = expected_cyber_cost(x, 0.0)
-    h = 1e-6 * (f0 if f0 > 0.0 else 1.0)
+    """d(net benefit)/d(spend) for ``x`` alone, additive mode, no parents:
+    ``-1 - sum p * L * g'(s)`` from each breach model's analytic slope, the
+    right derivative at a Table knot."""
+    attacks = x.attacks
 
     def marginal(s: float) -> float:
-        return -_numeric_derivative(lambda t: expected_cyber_cost(x, t), s, h)
+        slope = sum(
+            a.baseline_prob * a.loss * a.breach.multiplier_derivative(s, a.baseline_prob)
+            for a in attacks
+        )
+        return -1.0 - slope
 
     return marginal
+
+
+def _separable_marginal(x: Gdf, s: float, lam: float) -> float:
+    """Marginal of ``x`` at ``s`` as ``allocate`` reports it without edges.
+
+    A Table GDF's water-fill root sits on a knot, where its marginal steps
+    past ``lam``, within the root finder's closing width (1e-13 of a bracket
+    of at most ``f(0)``); so away from 0 this is the subgradient nearest
+    ``lam`` over ``d = 1e-12 * f(0)`` either side of ``s``.
+    """
+    m, d = _standalone_marginal(x), 1e-12 * expected_cyber_cost(x, 0.0)
+    return m(s) if s <= d else min(max(lam, m(s + d)), m(s - d))
+
+
+def _step(f0: float, scale: float) -> float:
+    """Difference step for a GDF of zero-spend loss ``f0`` in a portfolio
+    whose summed zero-spend loss is ``scale``."""
+    return 1e-6 * max(f0, 1e-9 * scale, 1e-9)
+
+
+def _coupled_marginal(total: CoupledTotal, spends: dict[str, float], xid: str, h: float) -> float:
+    """Slope of ``total`` along ``spends[xid]``: a central difference of step
+    ``h``, one-sided below ``h`` because spends cannot go negative."""
+    s = spends[xid]
+    up = total({**spends, xid: s + h})
+    if s < h:
+        return (up - total(spends)) / h
+    return (up - total({**spends, xid: s - h})) / (2.0 * h)
 
 
 def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | None = None) -> OptimalSpend:
@@ -340,12 +355,7 @@ def _refine_with_edges(
     objective = CoupledTotal(sub, mode)
 
     def coupled_marginal(sp: dict[str, float], xid: str) -> float:
-        h = 1e-6 * max(f0[xid], 1e-9 * scale, 1e-9)
-
-        def along(t: float) -> float:
-            return objective({**sp, xid: t})
-
-        return _numeric_derivative(along, sp[xid], h)
+        return _coupled_marginal(objective, sp, xid, _step(f0[xid], scale))
 
     def kkt_spread() -> float:
         marginals = {xid: coupled_marginal(spends, xid) for xid in ids}
@@ -402,7 +412,7 @@ def _refine_with_edges(
                 # is far sharper than the golden step above)
                 sx, sy = spends[xid], spends[yid]
                 if sx > 0.0 and sy > 0.0:
-                    h = 1e-6 * max(min(f0[xid], f0[yid]), 1e-9 * scale, 1e-9)
+                    h = _step(min(f0[xid], f0[yid]), scale)
 
                     def gap(delta: float) -> float:
                         # m_x - m_y is minus the slope along the transfer
@@ -436,7 +446,7 @@ def _refine_with_edges(
     return spends, sweeps, sweep_objectives
 
 
-def _allocate_grid(p: Portfolio, budget: float | None, mode: str, steps: int = 512) -> AllocationResult:
+def _allocate_grid(p: Portfolio, budget: float | None, mode: str, scale: float) -> AllocationResult:
     """Grid-search fallback for the non-concave literal mode.
 
     Per-GDF value tables are built standalone (dependency coupling ignored
@@ -451,17 +461,17 @@ def _allocate_grid(p: Portfolio, budget: float | None, mode: str, steps: int = 5
         for x in gdfs:
             spends[x.id] = optimal_spend(x, context=ctx0).s_star
     elif budget > 0.0 and gdfs:
-        delta = budget / steps
-        tables = {x.id: [enb(x, k * delta, ctx0) for k in range(steps + 1)] for x in gdfs}
+        delta = budget / _GRID_STEPS
+        tables = {x.id: [enb(x, k * delta, ctx0) for k in range(_GRID_STEPS + 1)] for x in gdfs}
         neg_inf = float("-inf")
         # dp[b] = best total value over a prefix of GDFs using at most b*delta
-        dp = [0.0] * (steps + 1)
+        dp = [0.0] * (_GRID_STEPS + 1)
         choices: list[list[int]] = []
         for x in gdfs:
             table = tables[x.id]
-            new = [neg_inf] * (steps + 1)
-            choice = [0] * (steps + 1)
-            for b in range(steps + 1):
+            new = [neg_inf] * (_GRID_STEPS + 1)
+            choice = [0] * (_GRID_STEPS + 1)
+            for b in range(_GRID_STEPS + 1):
                 best_v, best_k = neg_inf, 0
                 for k in range(b + 1):
                     v = dp[b - k] + table[k]
@@ -473,7 +483,7 @@ def _allocate_grid(p: Portfolio, budget: float | None, mode: str, steps: int = 5
                 choice[b] = best_k
             dp = new
             choices.append(choice)
-        b = steps
+        b = _GRID_STEPS
         for x, choice in zip(reversed(gdfs), reversed(choices)):
             k = choice[b]
             if k < 0:
@@ -495,18 +505,10 @@ def _allocate_grid(p: Portfolio, budget: float | None, mode: str, steps: int = 5
     objective = total(spends)
     marginals: dict[str, float] = {}
     for x in sub.gdfs:
-        f0 = expected_cyber_cost(x, 0.0)
-        h = 1e-6 * (f0 if f0 > 0.0 else 1.0)
-        if sub.edges:
-
-            def along(t: float, xid=x.id) -> float:
-                return total({**spends, xid: t})
-
-            marginals[x.id] = _numeric_derivative(along, spends[x.id], h)
-        else:
-            marginals[x.id] = _numeric_derivative(
-                lambda t, x=x: enb(x, t, ctx0), spends[x.id], h
-            )
+        # without edges the slope is the GDF's own: differencing the whole sum
+        # would lose digits to the rounding of the other GDFs' values
+        own = total if sub.edges else CoupledTotal(restrict_portfolio(sub, {x.id}), mode)
+        marginals[x.id] = _coupled_marginal(own, spends, x.id, _step(expected_cyber_cost(x, 0.0), scale))
     full = {i: spends.get(i, 0.0) for i in p.ids()}
     return AllocationResult(
         spends=full,
@@ -547,14 +549,13 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
     total_sweeps = 0
     sweep_objectives: list[float] = []
     spends: dict[str, float] = {}
-    sub = restrict_portfolio(p, kept)
     while kept:
         rounds += 1
         sub = restrict_portfolio(p, kept)
         try:
             spends, lam = _water_fill(sub.gdfs, effective, mode)
         except NonConcaveModeError:
-            return _allocate_grid(p, effective, mode)
+            return _allocate_grid(p, effective, mode, scale)
         if sub.edges:
             # the coupled objective need not be jointly concave: refine from
             # two starts (separable solution, uniform split) and keep the best
@@ -579,18 +580,13 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         sub = restrict_portfolio(p, kept)
 
     objective = float(sum(values.values()))
-    marginals: dict[str, float] = {}
     total = CoupledTotal(sub, mode)
-    for x in sub.gdfs:
-        if sub.edges:
-            h = 1e-6 * max(expected_cyber_cost(x, 0.0), 1e-9 * scale, 1e-9)
-
-            def along(t: float, xid=x.id) -> float:
-                return total({**spends, xid: t})
-
-            marginals[x.id] = _numeric_derivative(along, spends[x.id], h)
-        else:
-            marginals[x.id] = _standalone_marginal(x)(spends[x.id])
+    marginals = {
+        x.id: _coupled_marginal(total, spends, x.id, _step(expected_cyber_cost(x, 0.0), scale))
+        if sub.edges
+        else _separable_marginal(x, spends[x.id], lam)
+        for x in sub.gdfs
+    }
     interior = _interior(spends, marginals, effective, scale)
     if sub.edges and any(interior.values()):
         lam = median(marginals[i] for i, inside in interior.items() if inside)

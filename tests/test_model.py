@@ -244,13 +244,40 @@ class TestBreachInvariants:
     @given(breach_models(), st.floats(min_value=1e-4, max_value=1.0))
     def test_analytic_derivative_matches_difference_quotient(self, bundle, frac):
         breach, prob, loss = bundle
-        if not hasattr(breach, "multiplier_derivative"):
-            return
         s = frac * loss
         h = 1e-6 * loss
-        numeric = (breach.multiplier(s + h, prob) - breach.multiplier(s - h, prob)) / (2.0 * h)
+        if isinstance(breach, Table):
+            # a forward difference inside the segment starting at or before s
+            # (segments are far longer than h), never straddling a knot
+            ahead = [k for k, _ in breach.knots if k > s]
+            lo = min(s, ahead[0] - h) if ahead else s
+            numeric = (breach.multiplier(lo + h, prob) - breach.multiplier(lo, prob)) / h
+        else:
+            numeric = (breach.multiplier(s + h, prob) - breach.multiplier(s - h, prob)) / (2.0 * h)
         analytic = breach.multiplier_derivative(s, prob)
         assert numeric == pytest.approx(analytic, rel=1e-4, abs=1e-12 / loss)
+
+
+class TestTableSlope:
+    KNOTS = ((0.0, 1.0), (10.0, 0.5), (30.0, 0.3), (60.0, 0.25))
+    # segment slopes -0.05, -0.01 and -1/600, then flat
+
+    def test_each_segment_has_its_own_slope(self):
+        t = Table(knots=self.KNOTS)
+        for s, slope in [(0.5, -0.05), (9.9, -0.05), (10.5, -0.01), (29.0, -0.01), (45.0, -1.0 / 600.0)]:
+            assert t.multiplier_derivative(s) == pytest.approx(slope, rel=1e-12)
+
+    def test_slope_at_a_knot_is_the_right_derivative(self):
+        t = Table(knots=self.KNOTS)
+        for s, slope in [(0.0, -0.05), (10.0, -0.01), (30.0, -1.0 / 600.0), (60.0, 0.0)]:
+            assert t.multiplier_derivative(s) == pytest.approx(slope, rel=1e-12)
+        assert t.multiplier_derivative(math.nextafter(10.0, 0.0)) == pytest.approx(-0.05, rel=1e-12)
+
+    def test_slope_is_zero_past_the_last_knot(self):
+        t = Table(knots=self.KNOTS)
+        for s in (60.5, 1e3, 1e12):
+            assert t.multiplier_derivative(s) == 0.0
+        assert Table(knots=((0.0, 1.0),)).multiplier_derivative(5.0) == 0.0
 
 
 class TestRestrictPortfolio:

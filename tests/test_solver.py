@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from enbcds import AttackType, DependencyEdge, Gdf, GordonLoebI, Portfolio, Table, allocate
-from enbcds.optimize import _bisect_decreasing, _standalone_marginal, _water_fill
+from enbcds.optimize import _bisect_decreasing, _separable_marginal, _standalone_marginal, _water_fill
 
 from oracles import (
     PARAMETRIC,
@@ -124,19 +124,19 @@ class TestRootFinderOnTable:
     def test_root_sits_on_the_jump_between_plateaus(self, target, kink):
         m = _standalone_marginal(TABLE_GDF)
         lo, hi = 0.0, 9e4
-        h = 1e-6 * 5e4  # the marginal's central-difference step
+        tol = 1e-13 * (hi - lo)  # the root finder's closing width
         root = _bisect_decreasing(m, lo, hi, target)
         assert lo <= root <= hi
-        assert abs(root - kink) <= h
+        assert abs(root - kink) <= tol
         eps = 1e-10 * (hi - lo)
         assert m(root - eps) > target > m(root + eps)
 
     def test_target_on_a_plateau_lands_on_that_plateau(self):
         m = _standalone_marginal(TABLE_GDF)
         root = _bisect_decreasing(m, 0.0, 5e4, -0.5)
-        h = 1e-6 * 5e4
-        assert 1e4 - h <= root <= 3e4 + h
-        assert m(root) == pytest.approx(-0.5, abs=1e-6)
+        tol = 1e-13 * 5e4
+        assert 1e4 - tol <= root <= 3e4 + tol
+        assert m(root) == pytest.approx(-0.5, abs=1e-12)
 
     def test_water_fill_spends_are_bracketed_and_use_the_budget(self):
         gdfs = [
@@ -153,6 +153,83 @@ class TestRootFinderOnTable:
             if 0.0 < spends[x.id] < peaks[x.id]:
                 assert m(spends[x.id] - 1e-3) >= lam - 1e-9
                 assert m(spends[x.id] + 1e-3) <= lam + 1e-9
+
+
+# --------------------------------------------------------------------------
+# KKT certificate of an edge-free allocation mixing Table and parametric GDFs
+
+
+def closed_form_marginal(x: Gdf, s: float) -> float:
+    """m(s) = -1 - p*L*g'(s) of a single-attack GL1 or exponential GDF."""
+    (a,) = x.attacks
+    b, pl = a.breach, a.baseline_prob * a.loss
+    if isinstance(b, GordonLoebI):
+        return -1.0 + pl * b.alpha * b.beta * (b.alpha * s + 1.0) ** (-b.beta - 1.0)
+    return -1.0 + pl * b.kappa * math.exp(-b.kappa * s)
+
+
+def adjacent_table_marginals(x: Gdf, s: float, tol: float) -> tuple[float, float]:
+    """-1 - p*L*slope of the segments left and right of ``s`` in a
+    single-attack Table GDF: the two around a knot within ``tol`` of ``s``,
+    else the segment holding ``s`` twice.  The last segment is flat."""
+    (a,) = x.attacks
+    knots = a.breach.knots
+    slopes = [(m2 - m1) / (s2 - s1) for (s1, m1), (s2, m2) in zip(knots, knots[1:])] + [0.0]
+    k = min(range(1, len(knots)), key=lambda i: abs(knots[i][0] - s))
+    if abs(knots[k][0] - s) <= tol:
+        left, right = slopes[k - 1], slopes[k]
+    else:
+        left = right = slopes[max(i for i, (at, _) in enumerate(knots) if at <= s)]
+    pl = a.baseline_prob * a.loss
+    return -1.0 - pl * left, -1.0 - pl * right
+
+
+def mixed_separable_portfolio(seed: int) -> Portfolio:
+    """Nine single-attack GDFs, Table, GL1 and exponential in turn, padded
+    so none drops, with half the summed standalone peaks as budget."""
+    rng = make_rng(seed)
+    gdfs = [
+        random_gdf(rng, f"mix-{i}", n_attacks=1, families=(("table",), ("gl1",), ("exp",))[i % 3])
+        for i in range(9)
+    ]
+    peaks = [grid_argmax(lambda s, x=x: oracle_enb(x, s), 0.0, oracle_f(x, 0.0), 801)[0] for x in gdfs]
+    return Portfolio(gdfs=tuple(gdfs), edges=(), budget=0.5 * sum(peaks))
+
+
+def relative_spread(values) -> float:
+    lo, hi = min(values), max(values)
+    return (hi - lo) / max(abs(hi), abs(lo))
+
+
+@pytest.mark.parametrize("seed", [5, 23, 61])
+def test_mixed_separable_certificate_is_tight_and_exact(seed):
+    p = mixed_separable_portfolio(seed)
+    r = allocate(p)
+    assert not r.dropped and r.lam > 0.0
+    inner = [g for g, inside in r.interior.items() if inside]
+    tables = [x for x in p.gdfs if isinstance(x.attacks[0].breach, Table)]
+    assert {x.id for x in tables} & set(inner) and set(inner) - {x.id for x in tables}
+    assert relative_spread([r.marginal_at_solution[g] for g in inner]) <= 1e-4
+
+    kinked = []
+    for x in p.gdfs:
+        s, got = r.spends[x.id], r.marginal_at_solution[x.id]
+        if x not in tables:
+            assert got == pytest.approx(closed_form_marginal(x, s), rel=1e-9)
+        elif r.interior[x.id]:
+            left, right = adjacent_table_marginals(x, s, 1e-9 * oracle_f(x, 0.0))
+            assert right - 1e-12 <= got <= left + 1e-12
+            if left > right:
+                kinked.append(x)
+    assert kinked
+
+    # the same reporting code, one Table spend moved off its kink: the
+    # certificate must catch it
+    for x in kinked:
+        moved = {**r.spends, x.id: r.spends[x.id] + 1e-6 * oracle_f(x, 0.0)}
+        assert _separable_marginal(x, r.spends[x.id], r.lam) == r.marginal_at_solution[x.id]
+        marginals = [_separable_marginal(p.gdf(g), moved[g], r.lam) for g in inner]
+        assert relative_spread(marginals) > 1e-4
 
 
 # --------------------------------------------------------------------------
