@@ -119,29 +119,45 @@ def _check_member(x: Gdf, context: EvalContext | None) -> None:
 
 def _attack_prob(attack, s: float, parents, q: Mapping[str, float] | None) -> float:
     """Effective success probability of ``attack`` at spend ``s``, given the
-    compromise probabilities ``q`` of the sources of ``parents``."""
-    # min(1.0, ...) inlined here and below: this is the allocator's innermost loop
+    compromise probabilities ``q`` of the sources of ``parents``.
+
+    Parents compromise independently, so the result is the expectation of
+    ``min(1, base * prod)`` over the products ``prod`` of the uplifts of
+    every compromised subset of parents.  The fold builds that distribution
+    one parent at a time but keeps only what can still change the result:
+    a parent whose uplift for this attack is 1 leaves every product as it
+    is and is skipped, and an entry whose uplifted probability reaches the
+    clamp at 1 stays there under every later parent (uplifts are >= 1), so
+    its weight is banked in ``saturated`` and the entry dropped.  The cost
+    is the number of products that stay below the clamp: 2^k for k
+    uplifting parents only when ``base * prod < 1`` for most subsets, as at
+    large spends with distinct uplifts.  In exact arithmetic this equals
+    exhaustive enumeration over parent compromise states.
+    """
+    # min(1.0, ...) inlined here: this is the allocator's innermost loop
     base = attack.baseline_prob * attack.breach.multiplier(s, attack.baseline_prob)
     if not base < 1.0:
         base = 1.0
     if not parents:
         return base
-    # Parents compromise independently; fold each one's two states
-    # (untouched / compromised, the latter multiplying the uplift) into a
-    # distribution over accumulated uplift products, then take the expected
-    # clamped probability.  This matches exhaustive enumeration over parent
-    # compromise-state combinations exactly.
-    dist = [(1.0, 1.0)]
+    aid = attack.id
+    dist = [(1.0, base)]  # (weight, base * uplift product) of the unclamped subsets
+    saturated = 0.0
     for edge in parents:
+        uplift = edge.uplift.get(aid, 1.0)
+        if uplift == 1.0:
+            continue
         qp = q[edge.source]
         untouched = 1.0 - qp
-        uplift = edge.uplift.get(attack.id, 1.0)
-        doubled = []
-        for prob, prod in dist:
-            doubled.append((prob * untouched, prod))
-            doubled.append((prob * qp, prod * uplift))
-        dist = doubled
-    return sum([prob * (up if (up := base * prod) < 1.0 else 1.0) for prob, prod in dist])
+        kept = []
+        for prob, up in dist:
+            kept.append((prob * untouched, up))
+            if (up := up * uplift) < 1.0:
+                kept.append((prob * qp, up))
+            else:
+                saturated += prob * qp
+        dist = kept
+    return saturated + sum([prob * up for prob, up in dist])
 
 
 def _fold_gdf(x: Gdf, s: float, parents, q, mode: str) -> tuple[float, float]:

@@ -458,8 +458,15 @@ def portfolio_violations(p: Portfolio) -> list[Violation]:
             out.append(Violation("DuplicateId", f"gdfs[{gi}] ({g.id})", f"duplicate gdf id {g.id!r}"))
         seen.add(g.id)
 
+    pairs = set()
     for ei, e in enumerate(p.edges):
         where_e = f"edges[{ei}] ({e.source}->{e.target})"
+        if (e.source, e.target) in pairs:
+            # the fold would count one compromise of the source twice
+            out.append(Violation(
+                "DuplicateEdge", where_e, f"duplicate edge {e.source!r} -> {e.target!r}",
+            ))
+        pairs.add((e.source, e.target))
         for endpoint in (e.source, e.target):
             if endpoint not in seen:
                 out.append(Violation("UnknownGdf", where_e, f"unknown gdf {endpoint!r}"))

@@ -95,6 +95,26 @@ class TestExitCodes:
         assert main(["sample", str(path), "--draws", "3", "--seed", "0"]) == 1
         assert f"error: draw 0, target {target}:" in capfd.readouterr().err
 
+    def test_duplicate_edge_is_exit_1_naming_the_edge(self, tmp_path, capfd):
+        doc = json.loads(MINIMAL)
+        attack = {"baseline_prob": 0.5, "loss": 1e3, "breach": {"family": "exponential", "kappa": 1e-3}}
+        doc["portfolio"]["gdfs"] = [
+            {"id": "a", "ben": 0.0, "dir_costs": 0.0, "attacks": [{"id": "x", **attack}]},
+            {"id": "b", "ben": 2e3, "dir_costs": 0.0, "attacks": [{"id": "y", **attack}]},
+        ]
+        edge = {"source": "a", "target": "b", "uplift": {"y": 2.0}}
+        doc["portfolio"]["edges"] = [edge]
+        path = tmp_path / "edges.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        capfd.readouterr()
+        doc["portfolio"]["edges"] = [edge, edge]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capfd.readouterr().err
+        assert "edges[1] (a->b)" in err and "duplicate edge" in err
+        assert "edges[0]" not in err
+
     def test_malformed_json_is_exit_1(self, tmp_path, capfd):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")

@@ -27,9 +27,12 @@ from enbcds import (
     expected_cyber_cost,
 )
 
+from enbcds.evaluate import CoupledTotal
+
 from oracles import (
     make_rng,
     oracle_attack_prob,
+    oracle_compromise,
     oracle_enb,
     oracle_f,
     random_gdf,
@@ -218,6 +221,116 @@ class TestEffectiveProb:
                                             breach=Exponential(kappa=1.0)),))
         with pytest.raises(KeyError):
             effective_prob(x, "nope", 0.0)
+
+
+def _exp_attack(aid, baseline, kappa=1e-3, loss=1e4):
+    return AttackType(id=aid, baseline_prob=baseline, loss=loss, breach=Exponential(kappa=kappa))
+
+
+class TestWideFanIn:
+    """The fold at many parents, where clamped and unclamped uplift products
+    mix, against enumeration over every parent compromise state."""
+
+    @staticmethod
+    def _star(k, seed):
+        """A sink under ``k`` parents.  Its attack ``hi`` is uplifted by every
+        edge and ``lo`` by about half of them; one in four edges names ``lo``
+        with an explicit uplift of 1.0, and ``off`` is named by no edge."""
+        rng = make_rng(seed)
+        parents = tuple(
+            Gdf(id=f"p{i}", ben=1e4, attacks=(_exp_attack(f"a{i}", float(rng.uniform(0.2, 0.9))),))
+            for i in range(k)
+        )
+        sink = Gdf(id="sink", ben=1e5, attacks=(
+            _exp_attack("hi", 0.6), _exp_attack("lo", 0.3), _exp_attack("off", 0.5),
+        ))
+        edges = []
+        for i in range(k):
+            uplift = {"hi": float(rng.uniform(2.1, 3.0))}
+            if i % 2 == 0:
+                uplift["lo"] = float(rng.uniform(1.5, 4.0))
+            elif i % 4 == 1:
+                uplift["lo"] = 1.0
+            edges.append(DependencyEdge(source=f"p{i}", target="sink", uplift=uplift))
+        p = Portfolio(gdfs=(*parents, sink), edges=tuple(edges))
+        spends = {x.id: float(rng.uniform(0.0, 2e3)) for x in parents}
+        return p, sink, spends
+
+    @staticmethod
+    def _assert_matches_enumeration(p, x, spends):
+        ctx = EvalContext(portfolio=p, spends=spends)
+        for attack in x.attacks:
+            got = effective_prob(x, attack.id, spends.get(x.id, 0.0), ctx)
+            assert abs(got - oracle_attack_prob(p, x.id, attack, spends)) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_star_matches_enumeration_across_the_clamp(self, k):
+        p, sink, spends = self._star(k, seed=400 + k)
+        # at sink spend 200 the clamp binds for the full uplift product of
+        # "hi" but not for the empty one; also check lower and higher spends
+        base = 0.6 * math.exp(-0.2)
+        assert base < 1.0 <= base * math.prod(e.uplift["hi"] for e in p.edges)
+        for s in (0.0, 200.0, 1000.0, 2500.0):
+            spends["sink"] = s
+            self._assert_matches_enumeration(p, sink, spends)
+
+    def test_parents_compromised_never_or_surely(self):
+        p, sink, spends = self._star(6, seed=7)
+        never = Gdf(id="never", attacks=(_exp_attack("n", 0.0),))
+        bare = Gdf(id="bare")
+        surely = Gdf(id="surely", attacks=(_exp_attack("y", 1.0),))
+        extra = tuple(
+            DependencyEdge(source=g.id, target="sink", uplift={"hi": 2.0, "lo": 3.0})
+            for g in (never, bare, surely)
+        )
+        p = Portfolio(gdfs=(never, bare, surely, *p.gdfs), edges=(*extra, *p.edges))
+        spends.update(never=50.0, bare=0.0, surely=0.0, sink=300.0)
+        ctx = EvalContext(portfolio=p, spends=spends)
+        assert [oracle_compromise(p, g, spends) for g in ("never", "bare", "surely")] == [0.0, 0.0, 1.0]
+        for attack in sink.attacks:
+            got = effective_prob(sink, attack.id, 300.0, ctx)
+            assert abs(got - oracle_attack_prob(p, "sink", attack, spends)) <= 1e-12
+
+    def test_attack_baselines_of_exactly_zero_and_one(self):
+        p, _, spends = self._star(8, seed=11)
+        sink = Gdf(id="sink", ben=1e5, attacks=(
+            _exp_attack("hi", 1.0), _exp_attack("lo", 0.0), _exp_attack("off", 0.5),
+        ))
+        p = Portfolio(gdfs=(*p.gdfs[:-1], sink), edges=p.edges)
+        spends["sink"] = 0.0  # the multiplier is exactly 1, so base is 1 for "hi"
+        ctx = EvalContext(portfolio=p, spends=spends)
+        assert effective_prob(sink, "hi", 0.0, ctx) == pytest.approx(1.0, abs=1e-12)
+        assert effective_prob(sink, "lo", 0.0, ctx) == 0.0
+        self._assert_matches_enumeration(p, sink, spends)
+
+    def test_coupled_total_is_bit_equal_to_the_context_path(self):
+        p, _, spends = self._star(12, seed=12)
+        spends["sink"] = 150.0
+        ctx = EvalContext(portfolio=p, spends=spends)
+        assert CoupledTotal(p)(spends) == sum(enb(x, spends[x.id], ctx) for x in p.gdfs)
+
+    def test_forty_equal_parents_match_the_binomial_closed_form(self):
+        """Forty parents with one compromise probability ``q`` and one uplift
+        2.0 give the sink ``sum_j C(40,j) q^j (1-q)^(40-j) min(1, 0.3*2^j)``.
+        Every product with two or more compromised parents sits on the clamp,
+        so the fold keeps about 40 entries where enumeration needs 2^40.
+        This does not show the case the pruning leaves exponential: distinct
+        uplifts with ``base * prod < 1`` for most subsets, as at large sink
+        spends, where the fold still holds up to 2^k entries."""
+        k = 40
+        parents = tuple(Gdf(id=f"p{i}", ben=1e4, attacks=(_exp_attack("a", 0.35),)) for i in range(k))
+        sink = Gdf(id="sink", ben=1e5, attacks=(_exp_attack("t", 0.3),))
+        p = Portfolio(
+            gdfs=(*parents, sink),
+            edges=tuple(DependencyEdge(source=x.id, target="sink", uplift={"t": 2.0}) for x in parents),
+        )
+        spends = {x.id: 120.0 for x in parents}
+        q = oracle_compromise(p, "p0", spends)
+        want = sum(
+            math.comb(k, j) * q**j * (1.0 - q) ** (k - j) * min(1.0, 0.3 * 2.0**j) for j in range(k + 1)
+        )
+        got = effective_prob(sink, "t", 0.0, EvalContext(portfolio=p, spends=spends))
+        assert abs(got - want) <= 1e-12
 
 
 class TestEvalContext:

@@ -143,6 +143,25 @@ class TestPortfolioViolations:
         violations = portfolio_violations(p)
         assert any("gdfs[1]" in v.where for v in violations)
 
+    def test_duplicate_edge_reported_at_each_repeat(self):
+        a = Gdf(id="a", attacks=(simple_attack("aa"),))
+        b = Gdf(id="b", attacks=(simple_attack("ab1"), simple_attack("ab2")))
+        c = Gdf(id="c", attacks=(simple_attack("ac"),))
+        edges = (
+            DependencyEdge(source="a", target="b", uplift={"ab1": 2.0}),
+            DependencyEdge(source="a", target="c", uplift={"ac": 2.0}),
+            DependencyEdge(source="b", target="c", uplift={"ac": 2.0}),
+            DependencyEdge(source="a", target="b", uplift={"ab2": 3.0}),
+            DependencyEdge(source="a", target="b", uplift={}),
+        )
+        violations = portfolio_violations(Portfolio(gdfs=(a, b, c), edges=edges))
+        assert [(v.code, v.where) for v in violations] == [
+            ("DuplicateEdge", "edges[3] (a->b)"),
+            ("DuplicateEdge", "edges[4] (a->b)"),
+        ]
+        # one edge per (source, target) pair, reversed pairs included, is fine
+        assert portfolio_violations(Portfolio(gdfs=(a, b, c), edges=edges[:3])) == []
+
 
 class TestGordonLoebII:
     def test_requires_interior_baseline(self):
