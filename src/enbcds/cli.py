@@ -33,7 +33,7 @@ from .io import (
     sensitivity_to_dict,
 )
 from .model import Portfolio
-from .optimize import OptimizationError, allocate, optimal_spend
+from .optimize import OptimizationError, allocate, marginal_spread, optimal_spend
 from .sensitivity import SensitivityError, sample
 
 __all__ = ["main"]
@@ -131,18 +131,18 @@ def _cmd_optimize(args) -> int:
 
 
 def _kkt_summary(result) -> dict:
-    inner = [result.marginal_at_solution[i] for i, ok in result.interior.items() if ok]
-    spread = 0.0
-    if len(inner) >= 2:
-        lo, hi = min(inner), max(inner)
-        spread = (hi - lo) / max(abs(hi), abs(lo), 1e-300)
+    spread = marginal_spread(result.marginal_at_solution, result.interior)
     lam = result.lam if result.lam is not None else 0.0
     zero_ok = all(
         result.marginal_at_solution[i] <= lam + 1e-4
         for i, s in result.spends.items()
         if i in result.marginal_at_solution and s == 0.0 and i not in result.dropped
     )
-    return {"interior_count": len(inner), "marginal_spread_rel": spread, "zero_spend_ok": zero_ok}
+    return {
+        "interior_count": sum(result.interior.values()),
+        "marginal_spread_rel": spread,
+        "zero_spend_ok": zero_ok,
+    }
 
 
 def _cmd_allocate(args) -> int:
@@ -311,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, required=True, help="substream seed (reproducibility)")
     sp.add_argument("--budget", type=float, default=None, help="override the scenario budget")
     sp.add_argument(
-        "--threads", type=int, default=None, help="worker threads (ENBCDS_THREADS caps this)"
+        "--threads", type=int, default=None, help="accepted and ignored: draws run in one thread"
     )
     sp.set_defaults(func=_cmd_sample)
 

@@ -68,13 +68,15 @@ class EvalContext:
     upstream compromise probabilities can be computed; a GDF missing from
     the map is treated as unfunded (spend 0).
 
-    The context caches the compromise probability of every GDF it has had
-    to look upstream for, keyed by GDF id and computed at that GDF's spend
-    in ``spends``.  The first evaluation of a GDF with parents fills the
-    probabilities of all its not yet cached ancestors in one pass over the
-    portfolio's topological order, so chains of any depth evaluate without
-    recursion and later evaluations only read the cache.  The cache is only
-    valid for these spends: build a fresh context whenever they change.
+    The context caches the compromise probability of every GDF, keyed by
+    GDF id and computed at that GDF's spend in ``spends``.  The first
+    evaluation of a GDF with parents fills the whole cache in one pass over
+    the portfolio's topological order, the order :class:`CoupledTotal`
+    walks, so chains of any depth evaluate without recursion and later
+    evaluations only read the cache.  A GDF on or below a dependency cycle,
+    or below an edge source that names no GDF, never enters the cache.  The
+    cache is only valid for these spends: build a fresh context whenever
+    they change.
     """
 
     portfolio: Portfolio | None = None
@@ -182,30 +184,22 @@ def _fixed_net(x: Gdf) -> float:
 
 
 def _upstream(x: Gdf, context: EvalContext | None) -> tuple[tuple, dict | None]:
-    """Parent edges of ``x`` in the context portfolio, and the context cache
-    filled with the compromise probability of every ancestor of ``x``."""
+    """Parent edges of ``x`` in the context portfolio, and the context cache,
+    filled on the first call for a GDF with parents.  An edge source naming
+    no GDF, and every GDF below it, stays out of the cache: the fold raises
+    KeyError for those GDFs, and unrelated GDFs still evaluate."""
     if context is None or context.portfolio is None:
         return (), None
-    portfolio = context.portfolio
-    graph = portfolio._graph
+    graph = context.portfolio._graph
     q = context._cache
     parents = graph.parents.get(x.id, ())
-    need = set()
-    stack = [edge.source for edge in parents]
-    while stack:
-        gid = stack.pop()
-        if gid in q or gid in need:
-            continue
-        if gid in graph.cyclic:
-            raise CycleDetectedError(
-                f"dependency cycle through {gid!r} while evaluating {x.id!r}"
-            )
-        need.add(gid)
-        stack.extend(edge.source for edge in graph.parents.get(gid, ()))
-    for gid in sorted(need, key=graph.rank.__getitem__):
-        _, q[gid] = _fold_gdf(
-            portfolio.gdf(gid), context.spends.get(gid, 0.0), graph.parents.get(gid, ()), q, ADDITIVE
-        )
+    if x.id in graph.cyclic:
+        raise CycleDetectedError(f"dependency cycle on or above {x.id!r}")
+    if parents and not q:
+        for gid in graph.order:
+            up = graph.parents.get(gid, ())
+            if gid in graph.gdfs and all(edge.source in q for edge in up):
+                _, q[gid] = _fold_gdf(graph.gdfs[gid], context.spends.get(gid, 0.0), up, q, ADDITIVE)
     return parents, q
 
 
@@ -259,7 +253,8 @@ class CoupledTotal:
     mostly moving one or two spends at a time, so each GDF also keeps its
     inputs (own spend, parents' compromise probabilities) and results from
     the previous call and recomputes only when an input changed: only the
-    moved GDFs and their descendants are re-folded.
+    moved GDFs and their descendants are re-folded.  :meth:`values` returns
+    the per-GDF net benefits that the sum is made of.
     """
 
     def __init__(self, p: Portfolio, mode: str = ADDITIVE):
@@ -278,6 +273,12 @@ class CoupledTotal:
         self._last: dict[str, tuple] = {}
 
     def __call__(self, spends: Mapping[str, float]) -> float:
+        values = self.values(spends)
+        return sum(values[gid] for gid in self._ids)
+
+    def values(self, spends: Mapping[str, float]) -> dict[str, float]:
+        """Net benefit of each GDF at ``spends``, keyed by GDF id; equal, bit
+        for bit, to ``enb(x, spends[x.id], EvalContext(p, spends, mode))``."""
         q: dict[str, float] = {}
         values: dict[str, float] = {}
         last = self._last
@@ -293,7 +294,7 @@ class CoupledTotal:
             cost, q[gid] = _fold_gdf(x, s, parents, q, self._mode)
             values[gid] = fixed - cost
             last[gid] = (key, q[gid], values[gid])
-        return sum(values[gid] for gid in self._ids)
+        return values
 
 
 @dataclass(frozen=True)

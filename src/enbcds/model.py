@@ -370,12 +370,13 @@ class _Graph(NamedTuple):
     order.  ``order`` is a Kahn topological order of every node that is
     neither on a cycle nor downstream of one; the remaining nodes form
     ``cyclic``.  Nodes are the GDF ids plus any edge endpoint naming no GDF.
+    Evaluation walks ``order`` once, whether it fills an ``EvalContext``
+    cache or sums a ``CoupledTotal``.
     """
 
     gdfs: dict[str, Gdf]
     parents: dict[str, tuple[DependencyEdge, ...]]
     order: tuple[str, ...]
-    rank: dict[str, int]
     cyclic: frozenset[str]
 
 
@@ -406,7 +407,6 @@ def _build_graph(gdfs: tuple[Gdf, ...], edges: tuple[DependencyEdge, ...]) -> _G
         gdfs=by_id,
         parents={k: tuple(v) for k, v in parents.items()},
         order=tuple(order),
-        rank={node: i for i, node in enumerate(order)},
         cyclic=frozenset(node for node, d in indegree.items() if d > 0),
     )
 

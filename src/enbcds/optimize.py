@@ -40,6 +40,7 @@ __all__ = [
     "optimal_spend",
     "mandatory_min_loss",
     "allocate",
+    "marginal_spread",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -175,7 +176,9 @@ def _step(f0: float, scale: float) -> float:
     return 1e-6 * max(f0, 1e-9 * scale, 1e-9)
 
 
-def _coupled_marginal(total: CoupledTotal, spends: dict[str, float], xid: str, h: float) -> float:
+def _coupled_marginal(
+    total: Callable[[dict[str, float]], float], spends: dict[str, float], xid: str, h: float
+) -> float:
     """Slope of ``total`` along ``spends[xid]``: a central difference of step
     ``h``, one-sided below ``h`` because spends cannot go negative."""
     s = spends[xid]
@@ -296,12 +299,10 @@ def _water_fill(gdfs, budget: float | None, mode: str) -> tuple[dict[str, float]
             lo = mid
         else:
             hi = mid
-    lam = hi  # the feasible side of the bracket
+    lam = hi  # the feasible side of the bracket: these spends sum to <= budget
     spends = {x.id: spend_at(x.id, lam) for x in gdfs}
     total = sum(spends.values())
-    if total > budget > 0.0:
-        spends = {k: v * (budget / total) for k, v in spends.items()}
-    elif total < budget:
+    if total < budget:
         # piecewise-linear marginals plateau at lam, so the per-GDF
         # bisection can stop anywhere on the flat segment and leave budget
         # unspent; absorb the remainder wherever the marginal still clears
@@ -326,6 +327,17 @@ def _interior(
     marginal, and only while the budget binds."""
     exhausted = budget is not None and sum(spends.values()) >= budget - 1e-6 * max(1.0, budget)
     return {i: exhausted and spends[i] > 1e-12 * scale and m > 1e-7 for i, m in marginals.items()}
+
+
+def marginal_spread(marginals: dict[str, float], interior: dict[str, bool]) -> float:
+    """Relative spread ``(max - min) / max(|max|, |min|)`` of the interior
+    marginals, which the KKT certificate asks to be equal; 0 with fewer than
+    two.  An interior marginal is above 1e-7, so the divisor is too."""
+    inner = [marginals[i] for i, inside in interior.items() if inside]
+    if len(inner) < 2:
+        return 0.0
+    lo, hi = min(inner), max(inner)
+    return (hi - lo) / max(abs(hi), abs(lo))
 
 
 def _refine_with_edges(
@@ -359,11 +371,7 @@ def _refine_with_edges(
 
     def kkt_spread() -> float:
         marginals = {xid: coupled_marginal(spends, xid) for xid in ids}
-        inner = [marginals[i] for i, inside in _interior(spends, marginals, budget, scale).items() if inside]
-        if len(inner) < 2:
-            return 0.0
-        lo, hi = min(inner), max(inner)
-        return (hi - lo) / max(abs(hi), abs(lo))
+        return marginal_spread(marginals, _interior(spends, marginals, budget, scale))
 
     last_spread = math.inf
     obj = objective(spends)
@@ -395,6 +403,7 @@ def _refine_with_edges(
                 if sx <= 0.0 and sy <= 0.0:
                     continue
 
+                # for delta in [-sy, sx] both shifted spends stay >= 0
                 def shifted(delta: float, xid=xid, yid=yid, sx=sx, sy=sy) -> dict[str, float]:
                     return {**spends, xid: sx - delta, yid: sy + delta}
 
@@ -432,9 +441,6 @@ def _refine_with_edges(
                         if trial_obj >= obj - 1e-12 * scale:
                             spends.update(trial)
                             obj = trial_obj
-        for xid in ids:
-            if spends[xid] < 0.0:
-                spends[xid] = 0.0
         sweep_objectives.append(obj)
         if obj - before <= tol_obj:
             # a small objective gain can hide a loose certificate where the
@@ -507,7 +513,7 @@ def _allocate_grid(p: Portfolio, budget: float | None, mode: str, scale: float) 
     for x in sub.gdfs:
         # without edges the slope is the GDF's own: differencing the whole sum
         # would lose digits to the rounding of the other GDFs' values
-        own = total if sub.edges else CoupledTotal(restrict_portfolio(sub, {x.id}), mode)
+        own = total if sub.edges else lambda sp, xid=x.id: total.values(sp)[xid]
         marginals[x.id] = _coupled_marginal(own, spends, x.id, _step(expected_cyber_cost(x, 0.0), scale))
     full = {i: spends.get(i, 0.0) for i in p.ids()}
     return AllocationResult(
@@ -569,18 +575,17 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
                     best = refined
             spends, sweeps, sweep_objectives = best
             total_sweeps += sweeps
-        ctx = EvalContext(sub, spends, mode)
-        values = {x.id: enb(x, spends[x.id], ctx) for x in sub.gdfs}
+        total = CoupledTotal(sub, mode)
+        values = total.values(spends)
         drops = {i for i in kept if not p.gdf(i).mandatory and values[i] < 0.0}
         if not drops:
             break
         kept -= drops
-    else:
-        spends, values, lam = {}, {}, 0.0
+    else:  # no GDF left, or none to start with
+        spends, lam = {}, 0.0
         sub = restrict_portfolio(p, kept)
 
-    objective = float(sum(values.values()))
-    total = CoupledTotal(sub, mode)
+    objective = float(sum(values[x.id] for x in sub.gdfs))
     marginals = {
         x.id: _coupled_marginal(total, spends, x.id, _step(expected_cyber_cost(x, 0.0), scale))
         if sub.edges

@@ -6,17 +6,17 @@ per draw, and reports distributions of the downstream quantities: net
 benefit at given spends, per-GDF optimal spend, allocation objective, and
 per-GDF drop frequency.
 
-Draws use counter-based substreams keyed by (seed, draw index), so results
-are bit-identical regardless of execution order or thread count.  Sampled
-values landing outside [0, 1] for probability fields are clamped, and the
-clamp events are counted and reported rather than silently resampled.
+Draws use counter-based substreams keyed by (seed, draw index), so each
+draw's values depend only on the seed and its index.  Draws run one after
+another in the calling thread: the solves are pure Python and hold the
+interpreter lock, so a thread pool ran no faster.  Sampled values landing
+outside [0, 1] for probability fields are clamped, and the clamp events are
+counted and reported rather than silently resampled.
 """
 from __future__ import annotations
 
 import copy
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -256,18 +256,6 @@ def _draw_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _thread_count(threads: int | None, draws: int) -> int:
-    if threads is None:
-        threads = 1
-    env = os.environ.get("ENBCDS_THREADS")
-    if env is not None:
-        try:
-            threads = min(threads, max(1, int(env)))
-        except ValueError:
-            pass
-    return max(1, min(int(threads), draws))
-
-
 def sample(
     p: Portfolio,
     params: Sequence[UncertainParam],
@@ -286,9 +274,10 @@ def sample(
     computes the requested ``quantities``.  Restricting ``quantities`` to
     ``("params",)`` skips portfolio rebuilds and solves, which makes very
     large draw counts cheap while exercising the identical sampling path.
-    A draw whose values break the portfolio's rules raises SensitivityError
-    naming the lowest such draw index and the targets drawn into the broken
-    part.
+    Draws run in index order, so a draw whose values break the portfolio's
+    rules raises SensitivityError naming the lowest such draw index and the
+    targets drawn into the broken part.  ``threads`` is accepted for
+    compatibility and changes nothing: draws always run in one thread.
     """
     from .io import ValidationError, portfolio_from_dict, portfolio_to_dict  # deferred: io imports this module
 
@@ -319,7 +308,7 @@ def sample(
 
     n_params = len(params)
     param_values = np.zeros((draws, n_params))
-    clamp_flags = np.zeros((draws, n_params), dtype=np.int64)  # per-draw slots: thread-safe
+    clamp_flags = np.zeros((draws, n_params), dtype=np.int64)
     enbcds_values = np.zeros((draws, len(gdf_ids))) if want_enbcds else None
     s_star_values = np.zeros((draws, len(gdf_ids))) if want_s_star else None
     alloc_values = np.zeros(draws) if want_alloc else None
@@ -327,7 +316,7 @@ def sample(
 
     from .optimize import allocate, optimal_spend  # deferred for the same reason as io
 
-    def run_draw(i: int) -> None:
+    for i in range(draws):
         rng = _draw_rng(seed, i)
         doc = copy.deepcopy(base_doc) if needs_rebuild or n_params else base_doc
         for j, param in enumerate(params):
@@ -342,7 +331,7 @@ def sample(
             container[key] = value
             param_values[i, j] = value
         if not needs_rebuild:
-            return
+            continue
         try:
             drawn = portfolio_from_dict(doc["portfolio"])
         except ValidationError as exc:
@@ -364,16 +353,6 @@ def sample(
             alloc_values[i] = result.objective
             for k, gid in enumerate(gdf_ids):
                 drop_flags[i, k] = 1.0 if gid in result.dropped else 0.0
-
-    workers = _thread_count(threads, draws)
-    if workers == 1:
-        for i in range(draws):
-            run_draw(i)
-    else:
-        # each draw writes disjoint slots, so threads need no locking and the
-        # aggregate below is order-insensitive
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_draw, range(draws)))
 
     param_stats = {
         param.target: _stats(param_values[:, j]) for j, param in enumerate(params)

@@ -16,6 +16,9 @@ from enbcds import (
     parse_curve_csv,
 )
 from enbcds.cli import main
+from enbcds.io import ScenarioFile, serialize_scenario
+
+from oracles import make_rng, oracle_f, random_portfolio
 
 MINIMAL = """
 {
@@ -263,6 +266,25 @@ class TestAllocate:
         for key in ("spends", "dropped", "objective", "budget_used", "lam", "kkt", "iterations"):
             assert key in payload
         assert payload["kkt"]["zero_spend_ok"] in (True, False)
+
+
+    def test_kkt_spread_is_that_of_the_interior_marginals(self, tmp_path, capfd):
+        # a 3-GDF star that spends its whole budget with every GDF interior
+        rng = make_rng(1)
+        p = random_portfolio(rng, 3, with_edges=True, n_attacks=2)
+        budget = 0.05 * sum(oracle_f(x, 0.0) for x in p.gdfs)
+        path = tmp_path / "star.json"
+        path.write_text(serialize_scenario(ScenarioFile(schema_version=1, portfolio=p)), encoding="utf-8")
+        assert main(["--json", "allocate", str(path), "--budget", repr(budget)]) == 0
+        payload = json.loads(capfd.readouterr().out)
+        inner = [payload["marginal_at_solution"][i] for i, ok in payload["interior"].items() if ok]
+        assert len(inner) >= 2
+        assert payload["kkt"]["interior_count"] == len(inner)
+        lo, hi = min(inner), max(inner)
+        spread = (hi - lo) / max(abs(hi), abs(lo))
+        assert spread > 0.0
+        assert payload["kkt"]["marginal_spread_rel"] == spread
+        assert spread <= 1e-4
 
 
 class TestSample:

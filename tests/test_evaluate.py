@@ -306,8 +306,12 @@ class TestWideFanIn:
     def test_coupled_total_is_bit_equal_to_the_context_path(self):
         p, _, spends = self._star(12, seed=12)
         spends["sink"] = 150.0
-        ctx = EvalContext(portfolio=p, spends=spends)
-        assert CoupledTotal(p)(spends) == sum(enb(x, spends[x.id], ctx) for x in p.gdfs)
+        for mode in (ADDITIVE, LITERAL):
+            ctx = EvalContext(portfolio=p, spends=spends, mode=mode)
+            want = {x.id: enb(x, spends[x.id], ctx) for x in p.gdfs}
+            total = CoupledTotal(p, mode)
+            assert total.values(spends) == want
+            assert total(spends) == sum(want[x.id] for x in p.gdfs)
 
     def test_forty_equal_parents_match_the_binomial_closed_form(self):
         """Forty parents with one compromise probability ``q`` and one uplift

@@ -120,9 +120,13 @@ class TestCoupledTotal:
 
     @staticmethod
     def _check(p: Portfolio, spends: dict[str, float], mode: str) -> None:
-        got = CoupledTotal(p, mode)(spends)
+        total = CoupledTotal(p, mode)
+        got = total(spends)
         want = oracle_total(p, spends, mode)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        # the allocator reads per-GDF values; they are the context path's, bit for bit
+        ctx = EvalContext(p, spends, mode)
+        assert total.values(spends) == {x.id: enb(x, spends[x.id], ctx) for x in p.gdfs}
 
     @pytest.mark.parametrize("mode", ["additive", "literal"])
     @pytest.mark.parametrize("shape", ["star2", "star5", "chain3", "chain7", "diamond"])
@@ -151,6 +155,15 @@ class TestCoupledTotal:
                 spends[str(gid)] = float(rng.uniform(0.0, 2e5))
             want = oracle_total(p, spends)
             assert abs(total(spends) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_rejects_a_cycle_and_a_negative_spend(self):
+        gdfs = (_gdf("a"), _gdf("b"))
+        with pytest.raises(CycleDetectedError):
+            CoupledTotal(Portfolio(gdfs=gdfs, edges=(_link("a", "b"), _link("b", "a"))))
+        total = CoupledTotal(Portfolio(gdfs=gdfs, edges=(_link("a", "b"),)))
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                total({"a": 10.0, "b": bad})
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6),
@@ -186,6 +199,25 @@ class TestCycles:
         want = oracle_coupled_enb(upstream, u, spends)
         assert enb(u, spends["u"], ctx) == pytest.approx(want, rel=1e-12)
         assert enb(p.gdf("w"), 100.0, ctx) == pytest.approx(oracle_enb(p.gdf("w"), 100.0), rel=1e-12)
+
+    @pytest.mark.parametrize("first", ["s", "c"])
+    def test_unknown_edge_source_fails_only_below_it(self, first):
+        # r -> s is sound; "zz" names no GDF, so c and its child g cannot evaluate
+        gdfs = tuple(_gdf(g) for g in "rscg")
+        edges = (_link("r", "s"), _link("zz", "c"), _link("c", "g"))
+        p = Portfolio(gdfs=gdfs, edges=edges)
+        spends = {"r": 100.0, "s": 200.0, "c": 0.0, "g": 50.0}
+        sound = Portfolio(gdfs=gdfs[:2], edges=edges[:1])
+        want = enb(p.gdf("s"), 200.0, EvalContext(sound, {"r": 100.0, "s": 200.0}))
+        ctx = EvalContext(p, spends)
+        if first == "c":  # a failing first evaluation leaves the cache usable
+            with pytest.raises(KeyError):
+                enb(p.gdf("c"), 0.0, ctx)
+        assert enb(p.gdf("s"), 200.0, ctx) == want
+        assert want == pytest.approx(oracle_coupled_enb(sound, p.gdf("s"), spends), rel=1e-12)
+        for gid in "cg":
+            with pytest.raises(KeyError):
+                enb(p.gdf(gid), spends[gid], ctx)
 
     def test_cycle_path_in_message(self):
         gdfs = tuple(_gdf(f"g{i}") for i in range(4))

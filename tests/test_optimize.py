@@ -1,5 +1,6 @@
 """Per-GDF spend optimization and portfolio budget allocation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -147,8 +148,6 @@ class TestMandatoryMinLoss:
 def negative_gdf(rng, tag):
     """A GDF that is a clear expected loss at every spend level."""
     x = random_gdf(rng, tag, padded=False)
-    import dataclasses
-
     return dataclasses.replace(x, ben=0.0)
 
 
@@ -356,6 +355,35 @@ class TestAllocate:
         r = allocate(p, budget=budget, mode=LITERAL)
         _, grid_v = grid_allocate(p, budget, points=30, mode="literal")
         assert r.objective >= grid_v - 5e-3 * max(1.0, f0s)
+
+    def test_literal_mode_without_budget_puts_each_kept_gdf_at_its_peak(self):
+        rng = make_rng(97)
+        good = random_portfolio(rng, 3).gdfs
+        bad = negative_gdf(rng, "bad")
+        r = allocate(Portfolio(gdfs=(*good, bad)), budget=None, mode=LITERAL)
+        assert r.dropped == frozenset({bad.id})
+        assert r.spends[bad.id] == 0.0
+        ctx = EvalContext(mode=LITERAL)
+        for x in good:
+            assert r.spends[x.id] == optimal_spend(x, ctx).s_star
+
+    def test_literal_grid_skips_a_loss_maker_and_keeps_its_mandatory_twin(self):
+        rng = make_rng(101)
+        bad = negative_gdf(rng, "bad")
+        twin = dataclasses.replace(bad, id="gdf-twin", mandatory=True)
+        budget = 0.4 * (oracle_f(bad, 0.0) + oracle_f(twin, 0.0))
+        r = allocate(Portfolio(gdfs=(bad, twin)), budget=budget, mode=LITERAL)
+        assert r.dropped == frozenset({bad.id})
+        assert r.spends[bad.id] == 0.0
+        # brute force over the allocator's own 512-cell grid, skip included
+        cells = 512
+        delta = budget / cells
+        bad_v = [oracle_enb(bad, k * delta, "literal") for k in range(cells + 1)]
+        twin_v = [oracle_enb(twin, k * delta, "literal") for k in range(cells + 1)]
+        best = max(twin_v)  # bad skipped
+        for kb in range(cells + 1):
+            best = max(best, bad_v[kb] + max(twin_v[: cells + 1 - kb]))
+        assert r.objective == pytest.approx(best, rel=1e-9)
 
     def test_empty_portfolio_allocates_nothing(self):
         r = allocate(Portfolio(), budget=100.0)

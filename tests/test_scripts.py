@@ -1,0 +1,35 @@
+"""The scripts under scripts/ run end to end on the bundled scenarios."""
+
+import csv
+import pathlib
+import runpy
+
+from enbcds import bundled_scenario, bundled_scenario_names
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _main(name: str):
+    return runpy.run_path(str(SCRIPTS / name))["main"]
+
+
+def test_sweep_budget_writes_one_row_per_budget_level(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert _main("sweep_budget.py")(["three-gdfs-comparison", "--steps", "3", "-o", str(out)]) == 0
+    header, *rows = list(csv.reader(out.read_text().splitlines()))
+    ids = sorted(bundled_scenario("three-gdfs-comparison").portfolio.ids())
+    assert header == ["budget", "objective", "lam"] + [f"spend_{i}" for i in ids]
+    assert len(rows) == 4
+    budgets = [float(row[0]) for row in rows]
+    assert budgets[0] == 0.0
+    assert all(a < b for a, b in zip(budgets, budgets[1:]))
+    assert "wrote 4 rows" in capsys.readouterr().out
+
+
+def test_make_figures_renders_every_bundled_scenario(tmp_path):
+    assert _main("make_figures.py")(["--out", str(tmp_path)]) == 0
+    for name in bundled_scenario_names():
+        target = tmp_path / name
+        ids = bundled_scenario(name).portfolio.ids()
+        assert sorted(f.name for f in target.glob("*.svg")) == sorted(f"{i}.svg" for i in ids)
+        assert (target / "report.txt").read_text().strip()

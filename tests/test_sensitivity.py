@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -300,7 +301,7 @@ class TestDeterminism:
         r8 = sample(p, params, draws=24, seed=5, threads=8)
         assert r1 == r3 == r8
 
-    def test_env_var_caps_threads(self, monkeypatch):
+    def test_threads_env_var_does_not_change_results(self, monkeypatch):
         monkeypatch.setenv("ENBCDS_THREADS", "1")
         p = small_portfolio()
         params = [UncertainParam("/portfolio/gdfs/0/attacks/0/baseline_prob", Uniform(0.2, 0.8))]
@@ -308,6 +309,20 @@ class TestDeterminism:
         monkeypatch.delenv("ENBCDS_THREADS")
         free = sample(p, params, draws=12, seed=3, threads=8)
         assert capped == free
+
+    def test_draws_start_no_thread(self, monkeypatch):
+        p = small_portfolio()
+        params = [
+            UncertainParam("/portfolio/gdfs/0/attacks/0/baseline_prob", Uniform(0.2, 0.8)),
+            UncertainParam("/portfolio/gdfs/1/ben", Triangular(1e5, 2e5, 4e5)),
+        ]
+        want = sample(p, params, draws=8, seed=11, threads=1)
+
+        def refuse(self):
+            raise AssertionError("sample started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert sample(p, params, draws=8, seed=11, threads=8) == want
 
 
 class TestDropFrequency:
