@@ -12,10 +12,12 @@ false position), on the analytic marginal ``-1 - sum p * L * g'(s)``.
 Non-mandatory GDFs whose net benefit is negative at their allocated spend
 are dropped, their budget freed, and the program re-solved until the drop
 set is stable.  With edges the coupled objective is polished
-by coordinate ascent plus pairwise budget transfers; the same root finder
-then equalizes each funded pair's marginals, and sweeps go on until the
-objective stalls and the KKT certificate is tight.  The coupled objective's
-marginal along one spend is one central difference, ``_coupled_marginal``.
+by line searches along one spend and along budget transfers between two
+GDFs: each scores a golden-section point, the root of the slope along the
+line (found by the same root finder) and both ends, and keeps the best
+only if it raises the objective.  Sweeps go on until the objective stalls
+and the KKT certificate is tight.  Every slope of the coupled objective
+is one central difference cut to its domain, ``_slope``.
 
 The literal evaluation mode breaks concavity, so both the single-GDF solver
 and the allocator fall back to grid search there.
@@ -176,16 +178,18 @@ def _step(f0: float, scale: float) -> float:
     return 1e-6 * max(f0, 1e-9 * scale, 1e-9)
 
 
+def _slope(fn: Callable[[float], float], t: float, lo: float, hi: float, h: float) -> float:
+    """Slope of ``fn`` at ``t``: a central difference of step ``h``, cut to
+    ``[lo, hi]`` so that no probe leaves the domain."""
+    a, b = max(lo, t - h), min(hi, t + h)
+    return (fn(b) - fn(a)) / (b - a)
+
+
 def _coupled_marginal(
     total: Callable[[dict[str, float]], float], spends: dict[str, float], xid: str, h: float
 ) -> float:
-    """Slope of ``total`` along ``spends[xid]``: a central difference of step
-    ``h``, one-sided below ``h`` because spends cannot go negative."""
-    s = spends[xid]
-    up = total({**spends, xid: s + h})
-    if s < h:
-        return (up - total(spends)) / h
-    return (up - total({**spends, xid: s - h})) / (2.0 * h)
+    """Slope of ``total`` along ``spends[xid]``, which cannot go negative."""
+    return _slope(lambda t: total({**spends, xid: t}), spends[xid], 0.0, math.inf, h)
 
 
 def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | None = None) -> OptimalSpend:
@@ -347,34 +351,47 @@ def _refine_with_edges(
     mode: str,
     scale: float,
 ) -> tuple[dict[str, float], int, list[float]]:
-    """Coordinate ascent plus pairwise budget transfers on the coupled objective.
+    """Line searches on the coupled objective, one GDF and one pair at a time.
 
-    Transfers matter once the budget is exhausted: no single coordinate can
-    then move upward, but shifting spend between two GDFs still can.  A
-    golden search finds each pair's best transfer; a root finder then zeroes
-    the pair's marginal gap ``m_x - m_y``, which is minus the slope of the
-    objective along the transfer: one central difference (2 probes, with
-    the step of the GDF with the smaller ``f(0)``), or the two coupled
-    marginals where that step would leave ``[-s_y, s_x]``.  Sweeps stop when
-    one gains at most 1e-9 * scale, unless the relative spread of the
-    interior marginals that the KKT certificate compares is still above
-    1e-5 and the last stalled sweep at least halved it.
+    Every move is one line search: along one spend on ``[0, top]``, where
+    ``top`` is what the budget leaves it, and along a budget transfer
+    ``s_x - d, s_y + d`` on ``[-s_y, s_x]``.  The search scores the golden
+    point, the root of the objective's slope along the line (a central
+    difference, cut to the line) and both ends, and moves to the best only
+    if it beats the current objective, so sweeps never lower it.  A spend
+    the budget leaves no room to raise gets no move of its own: lowering it
+    is a transfer.  Sweeps stop when one gains at most 1e-9 * scale, unless
+    the relative spread of the interior marginals that the KKT certificate
+    compares is still above 1e-5 and the last stalled sweep at least halved
+    it.
     """
     ids = [x.id for x in sub.gdfs]
     f0 = {x.id: expected_cyber_cost(x, 0.0) for x in sub.gdfs}
     cap = 1.0 + sum(a.loss for x in sub.gdfs for a in x.attacks)
 
     objective = CoupledTotal(sub, mode)
+    obj = objective(spends)
 
-    def coupled_marginal(sp: dict[str, float], xid: str) -> float:
-        return _coupled_marginal(objective, sp, xid, _step(f0[xid], scale))
+    def search(point: Callable[[float], dict[str, float]], lo: float, hi: float, h: float, tol: float) -> float:
+        def along(t: float) -> float:
+            return objective(point(t))
+
+        best_t, best_v = _golden_max(along, lo, hi, tol)
+        root = _bisect_decreasing(lambda t: _slope(along, t, lo, hi, h), lo, hi, 0.0)
+        for t in {root, lo, hi} - {best_t}:
+            v = along(t)
+            if v > best_v:
+                best_t, best_v = t, v
+        if best_v > obj:
+            spends.update(point(best_t))
+            return best_v
+        return obj
 
     def kkt_spread() -> float:
-        marginals = {xid: coupled_marginal(spends, xid) for xid in ids}
+        marginals = {xid: _coupled_marginal(objective, spends, xid, _step(f0[xid], scale)) for xid in ids}
         return marginal_spread(marginals, _interior(spends, marginals, budget, scale))
 
     last_spread = math.inf
-    obj = objective(spends)
     sweep_objectives = [obj]
     tol_obj = 1e-9 * scale
     sweeps = 0
@@ -382,65 +399,18 @@ def _refine_with_edges(
         before = obj
         for xid in ids:
             others = sum(v for k, v in spends.items() if k != xid)
-            room = cap if budget is None else max(0.0, budget - others)
-            top = min(cap, room)
-
-            def along(t: float, xid=xid) -> float:
-                return objective({**spends, xid: t})
-
-            candidates = [(spends[xid], obj), (0.0, along(0.0))]
-            if top > 0.0:
+            top = cap if budget is None else min(cap, max(0.0, budget - others))
+            if top > spends[xid]:
                 tol = 1e-6 * max(f0[xid], 1e-6 * top, 1e-12)
-                candidates.append(_golden_max(along, 0.0, top, tol))
-                candidates.append((top, along(top)))
-            best_s, best_v = max(candidates, key=lambda c: c[1])
-            if best_v > obj:
-                spends[xid] = best_s
-                obj = best_v
+                obj = search(lambda t: {**spends, xid: t}, 0.0, top, _step(f0[xid], scale), tol)
         for i, xid in enumerate(ids):
             for yid in ids[i + 1 :]:
                 sx, sy = spends[xid], spends[yid]
                 if sx <= 0.0 and sy <= 0.0:
                     continue
-
-                # for delta in [-sy, sx] both shifted spends stay >= 0
-                def shifted(delta: float, xid=xid, yid=yid, sx=sx, sy=sy) -> dict[str, float]:
-                    return {**spends, xid: sx - delta, yid: sy + delta}
-
-                def along(delta: float) -> float:
-                    return objective(shifted(delta))
-
+                h = _step(min(f0[xid], f0[yid]), scale)
                 tol = 1e-6 * max(f0[xid], f0[yid], 1e-12)
-                candidates = [(0.0, obj), (-sy, along(-sy)), (sx, along(sx))]
-                candidates.append(_golden_max(along, -sy, sx, tol))
-                best_d, best_v = max(candidates, key=lambda c: c[1])
-                if best_v > obj and best_d != 0.0:
-                    spends.update(shifted(best_d))
-                    obj = best_v
-                # marginal equalization between two funded GDFs (root finding
-                # is far sharper than the golden step above)
-                sx, sy = spends[xid], spends[yid]
-                if sx > 0.0 and sy > 0.0:
-                    h = _step(min(f0[xid], f0[yid]), scale)
-
-                    def gap(delta: float) -> float:
-                        # m_x - m_y is minus the slope along the transfer
-                        if -sy <= delta - h and delta + h <= sx:
-                            down = objective(shifted(delta - h, sx=sx, sy=sy))
-                            up = objective(shifted(delta + h, sx=sx, sy=sy))
-                            return (down - up) / (2.0 * h)
-                        sp = shifted(delta, sx=sx, sy=sy)
-                        return coupled_marginal(sp, xid) - coupled_marginal(sp, yid)
-
-                    # the root finder returns an end of [-sy, sx] exactly when
-                    # the gap does not change sign strictly inside it
-                    delta = _bisect_decreasing(lambda d: -gap(d), -sy, sx, 0.0)
-                    if -sy < delta < sx:
-                        trial = shifted(delta, sx=sx, sy=sy)
-                        trial_obj = objective(trial)
-                        if trial_obj >= obj - 1e-12 * scale:
-                            spends.update(trial)
-                            obj = trial_obj
+                obj = search(lambda d: {**spends, xid: sx - d, yid: sy + d}, -sy, sx, h, tol)
         sweep_objectives.append(obj)
         if obj - before <= tol_obj:
             # a small objective gain can hide a loose certificate where the
@@ -536,9 +506,9 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
     (everyone gets their standalone peak).  Water-filling solves the
     separable program; the drop rule then removes any non-mandatory GDF
     whose net benefit is negative at its allocated spend (ties retain) and
-    re-solves until stable; dependency edges trigger coordinate-ascent
-    refinement of the coupled objective.  Literal mode falls back to grid
-    search.
+    re-solves until stable; with dependency edges, line searches along
+    single spends and budget transfers refine the coupled objective.
+    Literal mode falls back to grid search.
     """
     if budget is not None:
         effective = float(budget)
