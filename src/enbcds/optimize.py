@@ -180,8 +180,11 @@ def _step(f0: float, scale: float) -> float:
 
 def _slope(fn: Callable[[float], float], t: float, lo: float, hi: float, h: float) -> float:
     """Slope of ``fn`` at ``t``: a central difference of step ``h``, cut to
-    ``[lo, hi]`` so that no probe leaves the domain."""
+    ``[lo, hi]`` so that no probe leaves the domain.  A step below half an
+    ulp of ``t`` leaves both probes on ``t``, which reads as slope 0."""
     a, b = max(lo, t - h), min(hi, t + h)
+    if b <= a:
+        return 0.0
     return (fn(b) - fn(a)) / (b - a)
 
 
@@ -359,8 +362,8 @@ def _refine_with_edges(
     point, the root of the objective's slope along the line (a central
     difference, cut to the line) and both ends, and moves to the best only
     if it beats the current objective, so sweeps never lower it.  A spend
-    the budget leaves no room to raise gets no move of its own: lowering it
-    is a transfer.  Sweeps stop when one gains at most 1e-9 * scale, unless
+    the budget leaves no room to raise by more than the search tolerance
+    gets no move of its own: lowering it is a transfer.  Sweeps stop when one gains at most 1e-9 * scale, unless
     the relative spread of the interior marginals that the KKT certificate
     compares is still above 1e-5 and the last stalled sweep at least halved
     it.
@@ -400,8 +403,8 @@ def _refine_with_edges(
         for xid in ids:
             others = sum(v for k, v in spends.items() if k != xid)
             top = cap if budget is None else min(cap, max(0.0, budget - others))
-            if top > spends[xid]:
-                tol = 1e-6 * max(f0[xid], 1e-6 * top, 1e-12)
+            tol = 1e-6 * max(f0[xid], 1e-6 * top, 1e-12)
+            if top - spends[xid] > tol:
                 obj = search(lambda t: {**spends, xid: t}, 0.0, top, _step(f0[xid], scale), tol)
         for i, xid in enumerate(ids):
             for yid in ids[i + 1 :]:

@@ -365,6 +365,19 @@ def test_slack_budget_funds_a_parent_past_its_own_peak():
     assert r.objective >= grid
 
 
+def test_difference_step_below_an_ulp_of_the_spend_reads_as_flat():
+    # b has no attacks, so f(0) = 0 and its difference step is 1e-15 of the
+    # summed f(0); at 30x that sum the uniform start puts 4.5e6 on each GDF,
+    # where that step is below half an ulp and both probes land on one point
+    a = Gdf(id="a", ben=1e6, attacks=(AttackType(id="x", baseline_prob=0.3, loss=1e6, breach=Exponential(1e-4)),))
+    b = Gdf(id="b", ben=1e6, attacks=())
+    p = Portfolio(gdfs=(a, b), edges=(DependencyEdge(source="b", target="a", uplift={"x": 2.0}),))
+    slack = allocate(p, budget=None)
+    r = allocate(p, budget=30.0 * oracle_f(a, 0.0))
+    assert r.spends == slack.spends and r.spends["b"] == 0.0
+    assert r.objective == slack.objective
+
+
 @pytest.mark.parametrize("share", [0.02, 0.05])
 @pytest.mark.parametrize("seed", [None, 0, 3, 4], ids=["corpus-3", "table-0", "table-3", "table-4"])
 def test_tight_budget_is_transfer_optimal_and_never_loses_ground(seed, share):
