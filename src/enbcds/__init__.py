@@ -63,7 +63,6 @@ from .model import (
 from .optimize import (
     AllocationResult,
     BudgetInfeasibleError,
-    NonConcaveModeError,
     NotMandatoryError,
     OptimalSpend,
     OptimizationError,

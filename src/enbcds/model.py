@@ -324,11 +324,12 @@ class Gdf:
                 self, "actual_spend",
                 _require_money(self.actual_spend, f"gdf {self.id!r} actual_spend"),
             )
-        seen = set()
-        for a in self.attacks:
-            if a.id in seen:
-                raise DuplicateIdError(f"gdf {self.id!r} has duplicate attack id {a.id!r}")
-            seen.add(a.id)
+        for kind, items in (("attack", self.attacks), ("adverse event", self.adverse)):
+            seen = set()
+            for item in items:
+                if item.id in seen:
+                    raise DuplicateIdError(f"gdf {self.id!r} has duplicate {kind} id {item.id!r}")
+                seen.add(item.id)
 
     def attack(self, attack_id: str) -> AttackType:
         for a in self.attacks:

@@ -35,7 +35,6 @@ from .model import Gdf, Portfolio, restrict_portfolio
 __all__ = [
     "OptimizationError",
     "NotMandatoryError",
-    "NonConcaveModeError",
     "BudgetInfeasibleError",
     "OptimalSpend",
     "AllocationResult",
@@ -55,10 +54,6 @@ class OptimizationError(Exception):
 
 
 class NotMandatoryError(OptimizationError):
-    pass
-
-
-class NonConcaveModeError(OptimizationError):
     pass
 
 
@@ -274,10 +269,8 @@ class AllocationResult:
     sweep_objectives: tuple[float, ...]
 
 
-def _water_fill(gdfs, budget: float | None, mode: str) -> tuple[dict[str, float], float]:
+def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
     """Separable concave allocation by bisection on the shared marginal."""
-    if mode != ADDITIVE:
-        raise NonConcaveModeError("water-filling needs the concave additive mode; falling back to grid search")
     marginals = {x.id: _standalone_marginal(x) for x in gdfs}
     peaks: dict[str, float] = {}
     for x in gdfs:
@@ -351,7 +344,6 @@ def _refine_with_edges(
     sub: Portfolio,
     spends: dict[str, float],
     budget: float | None,
-    mode: str,
     scale: float,
 ) -> tuple[dict[str, float], int, list[float]]:
     """Line searches on the coupled objective, one GDF and one pair at a time.
@@ -372,7 +364,7 @@ def _refine_with_edges(
     f0 = {x.id: expected_cyber_cost(x, 0.0) for x in sub.gdfs}
     cap = 1.0 + sum(a.loss for x in sub.gdfs for a in x.attacks)
 
-    objective = CoupledTotal(sub, mode)
+    objective = CoupledTotal(sub)
     obj = objective(spends)
 
     def search(point: Callable[[float], dict[str, float]], lo: float, hi: float, h: float, tol: float) -> float:
@@ -481,7 +473,7 @@ def _allocate_grid(p: Portfolio, budget: float | None, mode: str, scale: float) 
 
     sub = restrict_portfolio(p, kept)
     total = CoupledTotal(sub, mode)
-    objective = total(spends)
+    objective = float(total(spends))
     marginals: dict[str, float] = {}
     for x in sub.gdfs:
         # without edges the slope is the GDF's own: differencing the whole sum
@@ -523,6 +515,8 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         raise BudgetInfeasibleError(f"budget must be finite and >= 0, got {effective!r}")
 
     scale = max(1.0, sum(expected_cyber_cost(x, 0.0) for x in p.gdfs))
+    if mode != ADDITIVE:
+        return _allocate_grid(p, effective, mode, scale)
     kept = set(p.ids())
     rounds = 0
     total_sweeps = 0
@@ -531,10 +525,7 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
     while kept:
         rounds += 1
         sub = restrict_portfolio(p, kept)
-        try:
-            spends, lam = _water_fill(sub.gdfs, effective, mode)
-        except NonConcaveModeError:
-            return _allocate_grid(p, effective, mode, scale)
+        spends, lam = _water_fill(sub.gdfs, effective)
         if sub.edges:
             # the coupled objective need not be jointly concave: refine from
             # two starts (separable solution, uniform split) and keep the best
@@ -543,12 +534,12 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
                 starts.append({x.id: effective / len(sub.gdfs) for x in sub.gdfs})
             best = None
             for start in starts:
-                refined = _refine_with_edges(sub, start, effective, mode, scale)
+                refined = _refine_with_edges(sub, start, effective, scale)
                 if best is None or refined[2][-1] > best[2][-1]:
                     best = refined
             spends, sweeps, sweep_objectives = best
             total_sweeps += sweeps
-        total = CoupledTotal(sub, mode)
+        total = CoupledTotal(sub)
         values = total.values(spends)
         drops = {i for i in kept if not p.gdf(i).mandatory and values[i] < 0.0}
         if not drops:

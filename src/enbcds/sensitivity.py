@@ -15,8 +15,8 @@ counted and reported rather than silently resampled.
 """
 from __future__ import annotations
 
-import copy
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -24,6 +24,7 @@ import numpy as np
 
 from .evaluate import EvalContext, enb
 from .model import Portfolio
+from .optimize import allocate, optimal_spend
 
 __all__ = [
     "SensitivityError",
@@ -269,8 +270,9 @@ def sample(
     """Redraw uncertain parameters ``draws`` times and aggregate the results.
 
     Each draw gets its own counter-based substream keyed by (seed, index),
-    samples every parameter in order, applies the values to a copy of the
-    portfolio (clamping probability fields to [0, 1]), revalidates, and
+    samples every parameter in order, writes the values (probability fields
+    clamped to [0, 1]) into one document of the portfolio whose targets were
+    resolved once, rebuilds and revalidates the portfolio from it, and
     computes the requested ``quantities``.  Restricting ``quantities`` to
     ``("params",)`` skips portfolio rebuilds and solves, which makes very
     large draw counts cheap while exercising the identical sampling path.
@@ -290,9 +292,13 @@ def sample(
         raise ValueError(f"unknown quantities: {sorted(unknown)}")
     params = list(params)
     gdf_ids = list(p.ids())
-    base_doc = {"portfolio": portfolio_to_dict(p)}
-    for param in params:
-        _resolve_parent(base_doc, param.target)  # all targets must resolve up front
+    # every draw writes every target, so this one document holds only the
+    # current draw's values and needs no copy
+    doc = {"portfolio": portfolio_to_dict(p)}
+    slots = [
+        (*_resolve_parent(doc, param.target), param.target.rsplit("/", 1)[-1] in _PROB_FIELDS)
+        for param in params
+    ]
 
     if spends is None:
         spends = {}
@@ -301,36 +307,30 @@ def sample(
         for g in p.gdfs
     }
 
-    want_enbcds = "enbcds" in quantities
-    want_s_star = "s_star" in quantities
-    want_alloc = "allocation" in quantities
-    needs_rebuild = want_enbcds or want_s_star or want_alloc
+    def enbcds_row(drawn: Portfolio) -> list[float]:
+        ctx = EvalContext(drawn, spends_used)
+        return [enb(drawn.gdf(gid), spends_used[gid], ctx) for gid in gdf_ids]
 
-    n_params = len(params)
-    param_values = np.zeros((draws, n_params))
-    clamp_flags = np.zeros((draws, n_params), dtype=np.int64)
-    enbcds_values = np.zeros((draws, len(gdf_ids))) if want_enbcds else None
-    s_star_values = np.zeros((draws, len(gdf_ids))) if want_s_star else None
-    alloc_values = np.zeros(draws) if want_alloc else None
-    drop_flags = np.zeros((draws, len(gdf_ids))) if want_alloc else None
+    def s_star_row(drawn: Portfolio) -> list[float]:
+        return [optimal_spend(drawn.gdf(gid)).s_star for gid in gdf_ids]
 
-    from .optimize import allocate, optimal_spend  # deferred for the same reason as io
+    def allocation_row(drawn: Portfolio) -> list[float]:
+        result = allocate(drawn, budget=budget)
+        return [*(float(gid in result.dropped) for gid in gdf_ids), result.objective]
+
+    solves = {"enbcds": enbcds_row, "s_star": s_star_row, "allocation": allocation_row}
+    solves = {q: solve for q, solve in solves.items() if q in quantities}
+    rows = {"params": array("d"), "clamped": array("b"), **{q: array("d") for q in solves}}
 
     for i in range(draws):
         rng = _draw_rng(seed, i)
-        doc = copy.deepcopy(base_doc) if needs_rebuild or n_params else base_doc
-        for j, param in enumerate(params):
-            value = param.distribution.sample(rng)
-            container, key = _resolve_parent(doc, param.target)
-            field_name = param.target.rsplit("/", 1)[-1]
-            if field_name in _PROB_FIELDS:
-                clamped = min(1.0, max(0.0, value))
-                if clamped != value:
-                    clamp_flags[i, j] = 1
-                value = clamped
+        for param, (container, key, is_probability) in zip(params, slots):
+            raw = param.distribution.sample(rng)
+            value = min(1.0, max(0.0, raw)) if is_probability else raw
             container[key] = value
-            param_values[i, j] = value
-        if not needs_rebuild:
+            rows["params"].append(value)
+            rows["clamped"].append(value != raw)
+        if not solves:
             continue
         try:
             drawn = portfolio_from_dict(doc["portfolio"])
@@ -341,43 +341,25 @@ def sample(
             raise SensitivityError(
                 f"draw {i}, target {', '.join(targets or (p.target for p in params))}: {exc}"
             ) from exc
-        if want_enbcds:
-            ctx = EvalContext(drawn, spends_used)
-            for k, gid in enumerate(gdf_ids):
-                enbcds_values[i, k] = enb(drawn.gdf(gid), spends_used[gid], ctx)
-        if want_s_star:
-            for k, gid in enumerate(gdf_ids):
-                s_star_values[i, k] = optimal_spend(drawn.gdf(gid)).s_star
-        if want_alloc:
-            result = allocate(drawn, budget=budget)
-            alloc_values[i] = result.objective
-            for k, gid in enumerate(gdf_ids):
-                drop_flags[i, k] = 1.0 if gid in result.dropped else 0.0
+        for q, solve in solves.items():
+            rows[q].extend(solve(drawn))
 
-    param_stats = {
-        param.target: _stats(param_values[:, j]) for j, param in enumerate(params)
-    }
-    clamp_events = {param.target: int(clamp_flags[:, j].sum()) for j, param in enumerate(params)}
+    # typed arrays keep a row at 8 bytes a value (1 for a clamp flag) at any
+    # draw count; viewed as draws x width, each column per parameter or GDF
+    # (the allocation objective last) is strided, the layout the stats read
+    columns = {q: np.frombuffer(r, r.typecode).reshape(draws, len(r) // draws).T for q, r in rows.items()}
+
+    def per_gdf(q: str, reduce=_stats) -> dict:
+        return {gid: reduce(columns[q][k]) for k, gid in enumerate(gdf_ids)} if q in columns else {}
+
     return SensitivityReport(
         draws=draws,
         seed=seed,
-        param_stats=param_stats,
-        clamp_events=clamp_events,
+        param_stats={param.target: _stats(columns["params"][j]) for j, param in enumerate(params)},
+        clamp_events={param.target: int(columns["clamped"][j].sum()) for j, param in enumerate(params)},
         spends_used=spends_used,
-        enbcds_at_spend=(
-            {gid: _stats(enbcds_values[:, k]) for k, gid in enumerate(gdf_ids)}
-            if want_enbcds
-            else {}
-        ),
-        s_star=(
-            {gid: _stats(s_star_values[:, k]) for k, gid in enumerate(gdf_ids)}
-            if want_s_star
-            else {}
-        ),
-        allocation_objective=_stats(alloc_values) if want_alloc else None,
-        drop_frequency=(
-            {gid: float(np.mean(drop_flags[:, k])) for k, gid in enumerate(gdf_ids)}
-            if want_alloc
-            else {}
-        ),
+        enbcds_at_spend=per_gdf("enbcds"),
+        s_star=per_gdf("s_star"),
+        allocation_objective=_stats(columns["allocation"][-1]) if "allocation" in columns else None,
+        drop_frequency=per_gdf("allocation", lambda c: float(np.mean(c))),
     )

@@ -118,6 +118,16 @@ class TestExitCodes:
         assert "edges[1] (a->b)" in err and "duplicate edge" in err
         assert "edges[0]" not in err
 
+    def test_duplicate_adverse_event_id_is_exit_1_naming_the_gdf(self, tmp_path, capfd):
+        doc = json.loads(MINIMAL)
+        event = {"id": "storm", "prob": 0.1, "cost": 5e3}
+        doc["portfolio"]["gdfs"].append({"id": "twice", "ben": 1e3, "dir_costs": 0.0, "adverse": [event, event]})
+        path = tmp_path / "adverse.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capfd.readouterr().err
+        assert "/portfolio/gdfs/1" in err and "duplicate adverse event id 'storm'" in err
+
     def test_malformed_json_is_exit_1(self, tmp_path, capfd):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")

@@ -65,6 +65,10 @@ class TestConstruction:
         with pytest.raises(DuplicateIdError):
             Gdf(id="x", attacks=(simple_attack("a"), simple_attack("a")))
 
+    def test_duplicate_adverse_event_ids_rejected(self):
+        with pytest.raises(DuplicateIdError, match="duplicate adverse event id 'e'"):
+            Gdf(id="x", adverse=(AdverseEvent(id="e", prob=0.1, cost=5.0), AdverseEvent(id="e", prob=0.2, cost=1.0)))
+
     def test_self_edge_rejected(self):
         with pytest.raises(ModelError):
             DependencyEdge(source="x", target="x", uplift={})

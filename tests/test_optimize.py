@@ -391,6 +391,18 @@ class TestAllocate:
         assert r.objective == 0.0
         assert r.dropped == frozenset()
 
+    def test_empty_portfolio_in_literal_mode_reports_the_grid_result(self):
+        r = allocate(Portfolio(), budget=100.0, mode=LITERAL)
+        assert r.spends == {} and r.dropped == frozenset()
+        assert r.objective == 0.0 and isinstance(r.objective, float)
+        assert r.lam is None
+
+    @pytest.mark.parametrize("gdfs", [0, 1], ids=["empty", "one-gdf"])
+    def test_unknown_mode_is_rejected_even_on_an_empty_portfolio(self, gdfs):
+        p = random_portfolio(make_rng(7), gdfs) if gdfs else Portfolio()
+        with pytest.raises(ValueError, match="unknown evaluation mode 'foo'"):
+            allocate(p, mode="foo")
+
     def test_curve_peak_agrees_with_optimizer(self):
         rng = make_rng(89)
         x = random_gdf(rng, 0, families=PARAMETRIC)

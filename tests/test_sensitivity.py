@@ -28,8 +28,11 @@ from enbcds import (
     sample,
 )
 
+from enbcds.sensitivity import _draw_rng, _stats
+
 from oracles import (
     make_rng,
+    oracle_enb,
     oracle_f,
     pert_mean_numint,
     random_gdf,
@@ -149,6 +152,36 @@ class TestSampleBasics:
         assert r.s_star == {}
         assert r.allocation_objective is None
         assert r.drop_frequency == {}
+
+
+class TestDrawDocument:
+    def test_each_draw_rebuilds_from_its_own_values(self):
+        attack = AttackType(id="a", baseline_prob=0.4, loss=2e5, breach=GordonLoebII(alpha=1e-5))
+        x = Gdf(id="x", ben=1e5, dir_costs=2e4, attacks=(attack,), actual_spend=3e4)
+        p = Portfolio(gdfs=(x,))
+        param = UncertainParam("/portfolio/gdfs/0/attacks/0/loss", Uniform(1e5, 4e5))
+        r = sample(p, [param], draws=6, seed=17, quantities=("enbcds",))
+
+        def drawn_enb(i):
+            loss = param.distribution.sample(_draw_rng(17, i))
+            return oracle_enb(dataclasses.replace(x, attacks=(dataclasses.replace(attack, loss=loss),)), 3e4)
+
+        want = _stats(np.array([drawn_enb(i) for i in range(6)]))
+        got = r.enbcds_at_spend["x"]
+        assert got.std > 0.0
+        for field in ("mean", "std", "p5", "p50", "p95"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+
+    def test_params_only_never_rebuilds_the_portfolio(self, monkeypatch):
+        import enbcds.io
+
+        def refuse(d):
+            raise AssertionError("params-only sampling rebuilt the portfolio")
+
+        monkeypatch.setattr(enbcds.io, "portfolio_from_dict", refuse)
+        param = UncertainParam("/portfolio/gdfs/0/attacks/0/baseline_prob", Uniform(0.2, 0.8))
+        r = sample(small_portfolio(), [param], draws=5, seed=2, quantities=("params",))
+        assert r.param_stats[param.target].std > 0.0
 
 
 class TestPointDegenerate:

@@ -74,7 +74,7 @@ class TestRootFinderAgainstClosedForms:
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_peaks_match_inverse_marginal_at_zero(self, seed):
         gdfs = single_attack_gdfs(seed, 8)
-        peaks, lam = _water_fill(gdfs, None, "additive")
+        peaks, lam = _water_fill(gdfs, None)
         assert lam == 0.0
         assert any(peaks.values())
         for x in gdfs:
@@ -84,7 +84,7 @@ class TestRootFinderAgainstClosedForms:
     def test_spends_match_inverse_marginal_at_lam(self, share):
         gdfs = single_attack_gdfs(41, 10)
         budget = share * sum(inverse_marginal(x, 0.0) for x in gdfs)
-        spends, lam = _water_fill(gdfs, budget, "additive")
+        spends, lam = _water_fill(gdfs, budget)
         assert lam > 0.0
         assert sum(spends.values()) == pytest.approx(budget, rel=1e-9)
         for x in gdfs:
@@ -156,9 +156,9 @@ class TestRootFinderOnTable:
             dataclasses.replace(TABLE_GDF, id=f"tbl-{i}", attacks=(dataclasses.replace(TABLE_ATTACK, loss=(1 + i) * 1e5),))
             for i in range(3)
         ]
-        peaks, _ = _water_fill(gdfs, None, "additive")
+        peaks, _ = _water_fill(gdfs, None)
         budget = 0.5 * sum(peaks.values())
-        spends, lam = _water_fill(gdfs, budget, "additive")
+        spends, lam = _water_fill(gdfs, budget)
         assert sum(spends.values()) == pytest.approx(budget, rel=1e-12)
         for x in gdfs:
             m = _standalone_marginal(x)
@@ -394,3 +394,14 @@ def test_tight_budget_is_transfer_optimal_and_never_loses_ground(seed, share):
     assert best_transfer_gain(kept, {g: r.spends[g] for g in kept.ids()}) <= 1e-6 * scale
     steps = [b - a for a, b in zip(r.sweep_objectives, r.sweep_objectives[1:])]
     assert min(steps, default=0.0) >= 0.0
+
+
+def test_uniform_start_finds_what_the_water_fill_start_misses():
+    # refined from the water-fill split alone, this portfolio stops at an
+    # objective of 505,710.57 with a transfer gain of 1.13e-5 of scale; the
+    # uniform split reaches 505,722.61, where no transfer gains
+    p = random_portfolio(make_rng(1001), 4, with_edges=True, n_attacks=2, max_uplift=200.0)
+    scale = max(1.0, sum(oracle_f(x, 0.0) for x in p.gdfs))
+    r = allocate(p, budget=0.01 * scale)
+    assert not r.dropped
+    assert best_transfer_gain(p, r.spends) <= 1e-6 * scale
