@@ -85,8 +85,7 @@ class EvalContext:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in (ADDITIVE, LITERAL):
-            raise ValueError(f"unknown evaluation mode {self.mode!r}")
+        check_mode(self.mode)
         spends = {str(k): float(v) for k, v in dict(self.spends).items()}
         known = self.portfolio._graph.gdfs if self.portfolio is not None else None
         for k, v in spends.items():
@@ -95,6 +94,12 @@ class EvalContext:
             if known is not None and k not in known:
                 raise UnknownGdfError(f"spend names gdf {k!r} not in the portfolio")
         object.__setattr__(self, "spends", spends)
+
+
+def check_mode(mode: str) -> None:
+    """Raise ValueError unless ``mode`` is ``ADDITIVE`` or ``LITERAL``."""
+    if mode not in (ADDITIVE, LITERAL):
+        raise ValueError(f"unknown evaluation mode {mode!r}")
 
 
 def _require_spend(s: float) -> float:
@@ -258,6 +263,7 @@ class CoupledTotal:
     """
 
     def __init__(self, p: Portfolio, mode: str = ADDITIVE):
+        check_mode(mode)
         graph = p._graph
         if graph.cyclic:
             raise CycleDetectedError(
@@ -351,6 +357,8 @@ def enbcds_curve(
     best = optimal_spend(x, context=context, upper=s_max)
     s_star, peak_value = best.s_star, best.value
     grid_s, grid_v = max(samples, key=lambda sv: sv[1])
-    if grid_v > peak_value:  # only reachable in the non-concave literal mode
+    # the golden search assumes one peak; the literal mode, and an uplift
+    # clamp that binds on part of the window, can give the curve two
+    if grid_v > peak_value:
         s_star, peak_value = grid_s, grid_v
     return EnbcdsCurve(gdf_id=x.id, samples=tuple(samples), s_star=s_star, peak_value=peak_value)

@@ -9,9 +9,9 @@ water-filling applies: bisect on the common marginal value ``lam`` and give
 each GDF the spend where its own marginal equals ``lam`` (clamped to ``[0,
 s*]``), found by a tolerance-terminated bracketed root finder (Illinois
 false position), on the analytic marginal ``-1 - sum p * L * g'(s)``.
-Non-mandatory GDFs whose net benefit is negative at their allocated spend
-are dropped, their budget freed, and the program re-solved until the drop
-set is stable.  With edges the coupled objective is polished
+Non-mandatory GDFs whose coupled net benefit is negative at their
+allocated spend are dropped, their budget freed, and the program re-solved
+until the drop set is stable.  With edges the coupled objective is polished
 by line searches along one spend and along budget transfers between two
 GDFs: each scores a golden-section point, the root of the slope along the
 line (found by the same root finder) and both ends, and keeps the best
@@ -19,8 +19,9 @@ only if it raises the objective.  Sweeps go on until the objective stalls
 and the KKT certificate is tight.  Every slope of the coupled objective
 is one central difference cut to its domain, ``_slope``.
 
-The literal evaluation mode breaks concavity, so both the single-GDF solver
-and the allocator fall back to grid search there.
+The literal evaluation mode breaks concavity, so the single-GDF solver
+falls back to a dense scan there, and the allocator picks each round's
+spends by a grid search before the same drop rule.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Callable, NamedTuple
 
-from .evaluate import ADDITIVE, CoupledTotal, EvalContext, enb, expected_cyber_cost
+from .evaluate import ADDITIVE, CoupledTotal, EvalContext, check_mode, enb, expected_cyber_cost
 from .model import Gdf, Portfolio, restrict_portfolio
 
 __all__ = [
@@ -250,7 +251,7 @@ class AllocationResult:
     ``spends`` covers every GDF in the portfolio (dropped ones at 0).
     ``objective`` is the summed net benefit of the retained GDFs at the
     allocated spends, evaluated with dependency coupling.  ``lam`` is the
-    shared marginal value of budget (None when the grid fallback ran);
+    shared marginal value of budget (None in literal mode);
     ``interior`` flags retained GDFs whose spend is strictly between 0 and
     saturation, whose marginals should all equal ``lam``; flags are only
     raised when the budget binds, since with slack every retained GDF sits
@@ -342,6 +343,7 @@ def marginal_spread(marginals: dict[str, float], interior: dict[str, bool]) -> f
 
 def _refine_with_edges(
     sub: Portfolio,
+    objective: CoupledTotal,
     spends: dict[str, float],
     budget: float | None,
     scale: float,
@@ -363,8 +365,6 @@ def _refine_with_edges(
     ids = [x.id for x in sub.gdfs]
     f0 = {x.id: expected_cyber_cost(x, 0.0) for x in sub.gdfs}
     cap = 1.0 + sum(a.loss for x in sub.gdfs for a in x.attacks)
-
-    objective = CoupledTotal(sub)
     obj = objective(spends)
 
     def search(point: Callable[[float], dict[str, float]], lo: float, hi: float, h: float, tol: float) -> float:
@@ -417,94 +417,68 @@ def _refine_with_edges(
     return spends, sweeps, sweep_objectives
 
 
-def _allocate_grid(p: Portfolio, budget: float | None, mode: str, scale: float) -> AllocationResult:
-    """Grid-search fallback for the non-concave literal mode.
+def _grid_spends(gdfs, budget: float | None, mode: str) -> tuple[dict[str, float], set[str]]:
+    """Spends by grid search, for the non-concave literal mode.
 
-    Per-GDF value tables are built standalone (dependency coupling ignored
-    while searching; the reported objective is still the coupled one).  A
-    skip option encodes the drop rule for non-mandatory GDFs.
+    A dynamic program over ``_GRID_STEPS`` budget cells picks one cell per
+    GDF from value tables built standalone (dependency coupling ignored), or
+    skips a non-mandatory GDF when leaving it out is worth strictly more.
+    Without a budget each GDF's only cell is its own peak; at zero budget it
+    is spend 0.  Returns the spends of the deployed GDFs and the skipped ids.
     """
-    gdfs = list(p.gdfs)
-    ctx0 = EvalContext(mode=mode)
-    spends = {x.id: 0.0 for x in gdfs}
-    skipped: set[str] = set()
+    ctx = EvalContext(mode=mode)
     if budget is None:
-        for x in gdfs:
-            spends[x.id] = optimal_spend(x, context=ctx0).s_star
-    elif budget > 0.0 and gdfs:
+        cells, grids = 0, [[optimal_spend(x, ctx).s_star] for x in gdfs]
+    else:
+        cells = _GRID_STEPS if budget > 0.0 else 0
         delta = budget / _GRID_STEPS
-        tables = {x.id: [enb(x, k * delta, ctx0) for k in range(_GRID_STEPS + 1)] for x in gdfs}
-        neg_inf = float("-inf")
-        # dp[b] = best total value over a prefix of GDFs using at most b*delta
-        dp = [0.0] * (_GRID_STEPS + 1)
-        choices: list[list[int]] = []
-        for x in gdfs:
-            table = tables[x.id]
-            new = [neg_inf] * (_GRID_STEPS + 1)
-            choice = [0] * (_GRID_STEPS + 1)
-            for b in range(_GRID_STEPS + 1):
-                best_v, best_k = neg_inf, 0
-                for k in range(b + 1):
-                    v = dp[b - k] + table[k]
-                    if v > best_v:
-                        best_v, best_k = v, k
-                if not x.mandatory and dp[b] > best_v:
-                    best_v, best_k = dp[b], -1  # skip: do not deploy at all
-                new[b] = best_v
-                choice[b] = best_k
-            dp = new
-            choices.append(choice)
-        b = _GRID_STEPS
-        for x, choice in zip(reversed(gdfs), reversed(choices)):
-            k = choice[b]
-            if k < 0:
-                skipped.add(x.id)
-            else:
-                spends[x.id] = k * delta
-                b -= k
-
-    # drop rule at the chosen spends (covers the zero-budget and
-    # unconstrained paths; DP skips are already drops)
-    kept = {x.id for x in gdfs} - skipped
-    drops = {xid for xid in kept if not p.gdf(xid).mandatory and enb(p.gdf(xid), spends[xid], ctx0) < 0.0}
-    kept -= drops
-    for xid in skipped | drops:
-        spends[xid] = 0.0
-
-    sub = restrict_portfolio(p, kept)
-    total = CoupledTotal(sub, mode)
-    objective = float(total(spends))
-    marginals: dict[str, float] = {}
-    for x in sub.gdfs:
-        # without edges the slope is the GDF's own: differencing the whole sum
-        # would lose digits to the rounding of the other GDFs' values
-        own = total if sub.edges else lambda sp, xid=x.id: total.values(sp)[xid]
-        marginals[x.id] = _coupled_marginal(own, spends, x.id, _step(expected_cyber_cost(x, 0.0), scale))
-    full = {i: spends.get(i, 0.0) for i in p.ids()}
-    return AllocationResult(
-        spends=full,
-        dropped=frozenset(set(p.ids()) - kept),
-        objective=objective,
-        budget_used=sum(full.values()),
-        marginal_at_solution=marginals,
-        lam=None,
-        interior={i: False for i in kept},
-        iterations=1,
-        sweep_objectives=(objective,),
-    )
+        grids = [[k * delta for k in range(cells + 1)]] * len(gdfs)
+    neg_inf = float("-inf")
+    # dp[b] = best total value over a prefix of GDFs using at most b cells
+    dp = [0.0] * (cells + 1)
+    choices: list[list[int]] = []
+    for x, grid in zip(gdfs, grids):
+        table = [enb(x, s, ctx) for s in grid]
+        new = [neg_inf] * (cells + 1)
+        choice = [0] * (cells + 1)
+        for b in range(cells + 1):
+            best_v, best_k = neg_inf, 0
+            for k in range(b + 1):
+                v = dp[b - k] + table[k]
+                if v > best_v:
+                    best_v, best_k = v, k
+            if not x.mandatory and dp[b] > best_v:
+                best_v, best_k = dp[b], -1  # skip: do not deploy at all
+            new[b] = best_v
+            choice[b] = best_k
+        dp = new
+        choices.append(choice)
+    spends: dict[str, float] = {}
+    skipped: set[str] = set()
+    b = cells
+    for x, grid, choice in zip(reversed(gdfs), reversed(grids), reversed(choices)):
+        k = choice[b]
+        if k < 0:
+            skipped.add(x.id)
+        else:
+            spends[x.id] = grid[k]
+            b -= k
+    return spends, skipped
 
 
 def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) -> AllocationResult:
     """Split the portfolio budget across GDFs to maximize total net benefit.
 
     ``budget`` overrides the portfolio's own; None means unconstrained
-    (everyone gets their standalone peak).  Water-filling solves the
-    separable program; the drop rule then removes any non-mandatory GDF
-    whose net benefit is negative at its allocated spend (ties retain) and
-    re-solves until stable; with dependency edges, line searches along
-    single spends and budget transfers refine the coupled objective.
-    Literal mode falls back to grid search.
+    (everyone gets their standalone peak).  Each drop round picks spends for
+    the retained GDFs: water-filling solves the separable program, and with
+    dependency edges line searches along single spends and budget transfers
+    refine the coupled objective; literal mode uses the grid search instead,
+    whose skips are final for the round.  The drop rule then removes any
+    non-mandatory GDF whose coupled net benefit is negative at its allocated
+    spend (ties retain) and re-solves until stable.
     """
+    check_mode(mode)
     if budget is not None:
         effective = float(budget)
     elif p.budget is not None:
@@ -515,31 +489,34 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         raise BudgetInfeasibleError(f"budget must be finite and >= 0, got {effective!r}")
 
     scale = max(1.0, sum(expected_cyber_cost(x, 0.0) for x in p.gdfs))
-    if mode != ADDITIVE:
-        return _allocate_grid(p, effective, mode, scale)
     kept = set(p.ids())
     rounds = 0
     total_sweeps = 0
     sweep_objectives: list[float] = []
-    spends: dict[str, float] = {}
     while kept:
         rounds += 1
         sub = restrict_portfolio(p, kept)
-        spends, lam = _water_fill(sub.gdfs, effective)
-        if sub.edges:
+        if mode == ADDITIVE:
+            spends, lam = _water_fill(sub.gdfs, effective)
+        else:
+            spends, skipped = _grid_spends(sub.gdfs, effective, mode)
+            if skipped:
+                kept -= skipped
+                sub = restrict_portfolio(p, kept)
+        total = CoupledTotal(sub, mode)
+        if mode == ADDITIVE and sub.edges:
             # the coupled objective need not be jointly concave: refine from
             # two starts (separable solution, uniform split) and keep the best
             starts = [dict(spends)]
-            if effective is not None and effective > 0.0 and sub.gdfs:
+            if effective is not None and effective > 0.0:
                 starts.append({x.id: effective / len(sub.gdfs) for x in sub.gdfs})
             best = None
             for start in starts:
-                refined = _refine_with_edges(sub, start, effective, scale)
+                refined = _refine_with_edges(sub, total, start, effective, scale)
                 if best is None or refined[2][-1] > best[2][-1]:
                     best = refined
             spends, sweeps, sweep_objectives = best
             total_sweeps += sweeps
-        total = CoupledTotal(sub)
         values = total.values(spends)
         drops = {i for i in kept if not p.gdf(i).mandatory and values[i] < 0.0}
         if not drops:
@@ -549,16 +526,22 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         spends, lam = {}, 0.0
         sub = restrict_portfolio(p, kept)
 
+    def marginal(x: Gdf) -> float:
+        if not sub.edges and mode == ADDITIVE:
+            return _separable_marginal(x, spends[x.id], lam)
+        # without edges the slope is the GDF's own: differencing the whole sum
+        # would lose digits to the rounding of the other GDFs' values
+        own = total if sub.edges else lambda sp: total.values(sp)[x.id]
+        return _coupled_marginal(own, spends, x.id, _step(expected_cyber_cost(x, 0.0), scale))
+
     objective = float(sum(values[x.id] for x in sub.gdfs))
-    marginals = {
-        x.id: _coupled_marginal(total, spends, x.id, _step(expected_cyber_cost(x, 0.0), scale))
-        if sub.edges
-        else _separable_marginal(x, spends[x.id], lam)
-        for x in sub.gdfs
-    }
-    interior = _interior(spends, marginals, effective, scale)
-    if sub.edges and any(interior.values()):
-        lam = median(marginals[i] for i, inside in interior.items() if inside)
+    marginals = {x.id: marginal(x) for x in sub.gdfs}
+    if mode == ADDITIVE:
+        interior = _interior(spends, marginals, effective, scale)
+        if sub.edges and any(interior.values()):
+            lam = median(marginals[i] for i, inside in interior.items() if inside)
+    else:
+        lam, interior = None, {x.id: False for x in sub.gdfs}
     if not sweep_objectives:
         sweep_objectives = [objective]
 
@@ -567,7 +550,7 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         spends=full,
         dropped=frozenset(set(p.ids()) - kept),
         objective=objective,
-        budget_used=sum(full.values()),
+        budget_used=sum(full.values(), 0.0),
         marginal_at_solution=marginals,
         lam=lam,
         interior=interior,

@@ -238,7 +238,8 @@ class SensitivityReport:
     ``param_stats`` holds post-clamp statistics of each sampled parameter;
     ``clamp_events`` counts how often a probability target had to be pulled
     back into [0, 1].  ``enbcds_at_spend`` is evaluated at ``spends_used``
-    (actual spends by default).  Quantities not requested are empty.
+    (actual spends by default), and ``s_star`` is each GDF's optimal spend
+    with its parents at those spends.  Quantities not requested are empty.
     """
 
     draws: int
@@ -307,15 +308,14 @@ def sample(
         for g in p.gdfs
     }
 
-    def enbcds_row(drawn: Portfolio) -> list[float]:
-        ctx = EvalContext(drawn, spends_used)
-        return [enb(drawn.gdf(gid), spends_used[gid], ctx) for gid in gdf_ids]
+    def enbcds_row(ctx: EvalContext) -> list[float]:
+        return [enb(ctx.portfolio.gdf(gid), spends_used[gid], ctx) for gid in gdf_ids]
 
-    def s_star_row(drawn: Portfolio) -> list[float]:
-        return [optimal_spend(drawn.gdf(gid)).s_star for gid in gdf_ids]
+    def s_star_row(ctx: EvalContext) -> list[float]:
+        return [optimal_spend(ctx.portfolio.gdf(gid), ctx).s_star for gid in gdf_ids]
 
-    def allocation_row(drawn: Portfolio) -> list[float]:
-        result = allocate(drawn, budget=budget)
+    def allocation_row(ctx: EvalContext) -> list[float]:
+        result = allocate(ctx.portfolio, budget=budget)
         return [*(float(gid in result.dropped) for gid in gdf_ids), result.objective]
 
     solves = {"enbcds": enbcds_row, "s_star": s_star_row, "allocation": allocation_row}
@@ -341,8 +341,9 @@ def sample(
             raise SensitivityError(
                 f"draw {i}, target {', '.join(targets or (p.target for p in params))}: {exc}"
             ) from exc
+        ctx = EvalContext(drawn, spends_used)
         for q, solve in solves.items():
-            rows[q].extend(solve(drawn))
+            rows[q].extend(solve(ctx))
 
     # typed arrays keep a row at 8 bytes a value (1 for a clamp flag) at any
     # draw count; viewed as draws x width, each column per parameter or GDF

@@ -349,8 +349,10 @@ class TestEvalContext:
             EvalContext(portfolio=p, spends={"x": -5.0})
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            EvalContext(mode="fancy")
+        p = random_portfolio(make_rng(5), 2)
+        for build in (lambda: EvalContext(mode="fancy"), lambda: CoupledTotal(p, "fancy")):
+            with pytest.raises(ValueError, match="unknown evaluation mode 'fancy'"):
+                build()
 
     def test_gdf_outside_context_portfolio_rejected(self):
         p = Portfolio(gdfs=(Gdf(id="x"),))

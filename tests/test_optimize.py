@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enbcds import (
+    ADDITIVE,
     LITERAL,
     AttackType,
     BudgetInfeasibleError,
+    DependencyEdge,
     EvalContext,
     Exponential,
     Gdf,
@@ -33,6 +35,7 @@ from oracles import (
     grid_argmax,
     make_rng,
     oracle_enb,
+    oracle_coupled_enb,
     oracle_f,
     oracle_total,
     random_gdf,
@@ -207,21 +210,23 @@ class TestAllocate:
             assert enb(x, r.spends[x.id]) == pytest.approx(best.value, rel=1e-6)
         assert r.lam == 0.0
 
-    @given(st.integers(min_value=0, max_value=5_000))
-    def test_budget_respected_and_objective_consistent(self, seed):
+    @given(st.integers(min_value=0, max_value=5_000), st.sampled_from([ADDITIVE, LITERAL]))
+    def test_budget_respected_and_objective_consistent(self, seed, mode):
         rng = make_rng(seed)
         n = int(rng.integers(1, 4))
         p = random_portfolio(rng, n, with_edges=bool(rng.integers(0, 2)))
         budget = float(rng.uniform(0.05, 0.7)) * sum(oracle_f(x, 0.0) for x in p.gdfs)
-        r = allocate(p, budget=budget)
+        r = allocate(p, budget=budget, mode=mode)
         assert sum(r.spends.values()) <= budget * (1.0 + 1e-9) + 1e-9
         assert all(s >= 0.0 for s in r.spends.values())
         kept = [gid for gid in p.ids() if gid not in r.dropped]
         sub = restrict_portfolio(p, kept)
         spends_kept = {gid: r.spends[gid] for gid in kept}
-        assert r.objective == pytest.approx(oracle_total(sub, spends_kept), rel=1e-9, abs=1e-6)
+        assert r.objective == pytest.approx(oracle_total(sub, spends_kept, mode), rel=1e-9, abs=1e-6)
         for gid in r.dropped:
             assert r.spends[gid] == 0.0
+        for x in sub.gdfs:
+            assert x.mandatory or oracle_coupled_enb(sub, x, spends_kept, mode) >= 0.0
 
     def test_dropped_gdfs_are_expected_losses(self):
         rng = make_rng(53)
@@ -390,12 +395,31 @@ class TestAllocate:
         assert r.spends == {}
         assert r.objective == 0.0
         assert r.dropped == frozenset()
+        assert r.budget_used == 0.0 and isinstance(r.budget_used, float)
+        assert r.iterations == 0
 
     def test_empty_portfolio_in_literal_mode_reports_the_grid_result(self):
         r = allocate(Portfolio(), budget=100.0, mode=LITERAL)
         assert r.spends == {} and r.dropped == frozenset()
         assert r.objective == 0.0 and isinstance(r.objective, float)
+        assert r.budget_used == 0.0 and isinstance(r.budget_used, float)
         assert r.lam is None
+        assert r.iterations == 0
+
+    def test_literal_mode_drops_a_child_that_loses_once_its_parent_counts(self):
+        # standalone, b is worth funding; with a's compromise uplifting its
+        # attack six-fold it loses 25,827 at the grid's spend, so it is
+        # dropped and a, re-solved alone, takes the whole budget
+        a = Gdf(id="a", ben=5e5, attacks=(AttackType(id="x", baseline_prob=0.6, loss=2e5, breach=Exponential(1e-5)),))
+        b = Gdf(id="b", ben=45000.0, attacks=(AttackType(id="y", baseline_prob=0.1, loss=5e5, breach=Exponential(2e-5)),))
+        edge = DependencyEdge(source="a", target="b", uplift={"y": 6.0})
+        p = Portfolio(gdfs=(a, b), edges=(edge,), budget=1e5)
+        r = allocate(p, mode=LITERAL)
+        assert r.dropped == frozenset({"b"})
+        assert r.spends == {"a": 100_000.0, "b": 0.0}
+        assert r.objective == pytest.approx(433_781.700589, rel=1e-9)
+        assert r.objective == pytest.approx(oracle_total(restrict_portfolio(p, ["a"]), r.spends, LITERAL), rel=1e-12)
+        assert r.lam is None and r.iterations == 2
 
     @pytest.mark.parametrize("gdfs", [0, 1], ids=["empty", "one-gdf"])
     def test_unknown_mode_is_rejected_even_on_an_empty_portfolio(self, gdfs):

@@ -36,6 +36,7 @@ from oracles import (
     oracle_f,
     pert_mean_numint,
     random_gdf,
+    random_portfolio,
     triangular_mean_numint,
 )
 
@@ -216,6 +217,21 @@ class TestPointDegenerate:
         assert r.allocation_objective.std == 0.0
         assert r.allocation_objective.mean == det.objective
         assert all(f in (0.0, 1.0) for f in r.drop_frequency.values())
+
+    def test_point_only_s_star_prices_in_the_parents_at_the_used_spends(self):
+        base = random_portfolio(make_rng(0), 3, with_edges=True, n_attacks=2)
+        gdfs = tuple(dataclasses.replace(g, actual_spend=1000.0) for g in base.gdfs)
+        p = Portfolio(gdfs=gdfs, edges=base.edges)
+        assert p.edges
+        params = [UncertainParam(target="/portfolio/gdfs/0/ben", distribution=Point(p.gdfs[0].ben))]
+        r = sample(p, params, draws=4, seed=3, quantities=("s_star",))
+        ctx = EvalContext(p, r.spends_used)
+        for g in p.gdfs:
+            assert r.s_star[g.id].std == 0.0
+            assert r.s_star[g.id].mean == optimal_spend(g, ctx).s_star
+        # the child's optimum moves once its parents' compromise counts
+        child = p.gdfs[-1]
+        assert optimal_spend(child, ctx).s_star != optimal_spend(child).s_star
 
 
 class TestSampleMeans:
