@@ -252,6 +252,12 @@ class TestOptimize:
         assert f"s_star = {best.s_star}" in out
         assert f"value at s_star = {best.value}" in out
 
+    def test_json_payload_matches_library_solution(self, scada_file, capfd):
+        assert main(["--json", "optimize", scada_file, "--gdf", "remote-scada-access"]) == 0
+        payload = json.loads(capfd.readouterr().out)
+        best = optimal_spend(bundled_scenario("remote-scada").portfolio.gdfs[0])
+        assert payload == {"gdf": "remote-scada-access", "s_star": best.s_star, "value": best.value}
+
 
 class TestAllocate:
     def test_comparison_table_shows_drops(self, comparison_file, capfd):

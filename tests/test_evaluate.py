@@ -25,6 +25,7 @@ from enbcds import (
     enb,
     enbcds_curve,
     expected_cyber_cost,
+    optimal_spend,
 )
 
 from enbcds.evaluate import CoupledTotal
@@ -403,6 +404,20 @@ class TestEnbcdsCurve:
             x = random_gdf(rng, i)
             curve = enbcds_curve(x)
             assert curve.peak_value >= max(curve.values) - 1e-9 * max(1.0, abs(curve.peak_value))
+
+    def test_peak_is_the_best_of_search_and_grid_on_a_two_peaked_curve(self):
+        # the uplift clamp makes the child's curve two-peaked (README, Dependencies)
+        a = Gdf(id="a", ben=1e6, attacks=(
+            AttackType(id="x", baseline_prob=0.0822, loss=124_000.0, breach=Exponential(kappa=9.15e-6)),
+        ))
+        b = Gdf(id="b", ben=1e6, attacks=(
+            AttackType(id="y", baseline_prob=0.216, loss=927_000.0, breach=Exponential(kappa=4.95e-5)),
+        ))
+        p = Portfolio(gdfs=(a, b), edges=(DependencyEdge(source="a", target="b", uplift={"y": 833.0}),))
+        ctx = EvalContext(p, {"a": 0.0, "b": 0.0})
+        curve = enbcds_curve(b, context=ctx)
+        assert curve.peak_value >= optimal_spend(b, context=ctx).value
+        assert curve.peak_value >= max(curve.values)
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_additive_curve_is_concave(self, seed):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -61,6 +62,49 @@ def attack_doc() -> dict:
          "breach": {"family": "exponential", "kappa": 0.05}},
     ]
     return doc
+
+
+EVERY_VARIANT = json.dumps({
+    "schema_version": 1,
+    "portfolio": {
+        "budget": 1000.0,
+        "gdfs": [{
+            "id": "all",
+            "ben": 500.0,
+            "dir_costs": 50.0,
+            "attacks": [
+                {"id": "gl1", "baseline_prob": 0.3, "loss": 100.0,
+                 "breach": {"family": "gordon-loeb-1", "alpha": 0.01}},
+                {"id": "gl2", "baseline_prob": 0.2, "loss": 80.0,
+                 "breach": {"family": "gordon-loeb-2", "alpha": 0.02}},
+                {"id": "exp", "baseline_prob": 0.1, "loss": 60.0,
+                 "breach": {"family": "exponential", "kappa": 0.03}},
+                {"id": "tab", "baseline_prob": 0.4, "loss": 90.0,
+                 "breach": {"family": "table", "knots": [[0, 1], [10, 0.5], [30, 0.25]]}},
+            ],
+        }],
+    },
+    "uncertainty": [
+        {"target": "/portfolio/gdfs/0/ben", "distribution": {"kind": "point", "value": 450.0}},
+        {"target": "/portfolio/gdfs/0/attacks/0/loss",
+         "distribution": {"kind": "uniform", "lo": 90.0, "hi": 110.0}},
+        {"target": "/portfolio/gdfs/0/attacks/1/baseline_prob",
+         "distribution": {"kind": "triangular", "lo": 0.1, "mode": 0.2, "hi": 0.3}},
+        {"target": "/portfolio/gdfs/0/attacks/2/breach/kappa",
+         "distribution": {"kind": "pert", "lo": 0.02, "mode": 0.03, "hi": 0.05}},
+    ],
+})
+
+BREACH = "/portfolio/gdfs/0/attacks/0/breach"
+DIST = "/uncertainty/0/distribution"
+
+
+def set_at(doc, pointer: str, value) -> None:
+    """Set the value a JSON pointer names in ``doc``."""
+    *head, last = pointer.split("/")[1:]
+    for token in head:
+        doc = doc[int(token)] if isinstance(doc, list) else doc[token]
+    doc[int(last) if isinstance(doc, list) else last] = value
 
 
 class TestParseScenario:
@@ -186,6 +230,60 @@ class TestParseScenario:
         with pytest.raises(ValidationError):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "pointer,value,error,path",
+        [
+            pytest.param(f"{BREACH}/family", "weibull", SchemaError, f"{BREACH}/family", id="unknown-family"),
+            pytest.param(f"{DIST}/kind", "cauchy", SchemaError, f"{DIST}/kind", id="unknown-kind"),
+            pytest.param(BREACH, {"alpha": 0.1}, SchemaError, f"{BREACH}/family", id="missing-family"),
+            pytest.param(DIST, {"lo": 1.0, "hi": 2.0}, SchemaError, f"{DIST}/kind", id="missing-kind"),
+            pytest.param(f"{BREACH}/family", 3, SchemaError, f"{BREACH}/family", id="family-not-a-string"),
+            pytest.param(BREACH, "power-law", SchemaError, BREACH, id="breach-not-an-object"),
+            pytest.param(DIST, [1.0], SchemaError, DIST, id="distribution-not-an-object"),
+            pytest.param(BREACH, {"family": "exponential"}, SchemaError, f"{BREACH}/kappa",
+                         id="missing-breach-field"),
+            pytest.param(DIST, {"kind": "uniform", "lo": 1.0}, SchemaError, f"{DIST}/hi",
+                         id="missing-distribution-field"),
+            pytest.param(f"{BREACH}/alpha", "0.1", SchemaError, f"{BREACH}/alpha", id="breach-field-not-a-number"),
+            pytest.param(f"{BREACH}/beta", None, SchemaError, f"{BREACH}/beta", id="optional-field-not-a-number"),
+            pytest.param(f"{DIST}/lo", True, SchemaError, f"{DIST}/lo", id="distribution-field-not-a-number"),
+            pytest.param(BREACH, {"family": "table", "knots": 5}, SchemaError, f"{BREACH}/knots",
+                         id="knots-not-an-array"),
+            pytest.param(BREACH, {"family": "table", "knots": [[0, 1], [5]]}, SchemaError, f"{BREACH}/knots/1",
+                         id="knot-not-a-pair"),
+            pytest.param(BREACH, {"family": "table", "knots": [[0, 1], 5]}, SchemaError, f"{BREACH}/knots/1",
+                         id="knot-not-an-array"),
+            pytest.param(BREACH, {"family": "table", "knots": [[0, 1], [5, "x"]]}, SchemaError,
+                         f"{BREACH}/knots/1/1", id="knot-multiplier-not-a-number"),
+            pytest.param(f"{BREACH}/gamma", 1.0, SchemaError, f"{BREACH}/gamma", id="unknown-breach-field"),
+            pytest.param(f"{DIST}/sd", 1.0, SchemaError, f"{DIST}/sd", id="unknown-distribution-field"),
+            pytest.param(f"{BREACH}/gamma", 1.0, SchemaWarning, BREACH, id="unknown-breach-field-lenient"),
+            pytest.param(f"{DIST}/sd", 1.0, SchemaWarning, DIST, id="unknown-distribution-field-lenient"),
+            pytest.param(f"{BREACH}/beta", 0.5, ValidationError, BREACH, id="breach-out-of-domain"),
+            pytest.param(BREACH, {"family": "table", "knots": [[1, 1]]}, ValidationError, BREACH,
+                         id="table-out-of-domain"),
+            pytest.param(f"{DIST}/lo", 3.0, ValidationError, "/uncertainty/0", id="distribution-out-of-order"),
+            pytest.param("/portfolio/gdfs/0/attacks", {}, SchemaError, "/portfolio/gdfs/0/attacks",
+                         id="attacks-not-an-array"),
+            pytest.param("/portfolio/gdfs/0/mandatory", 1, SchemaError, "/portfolio/gdfs/0/mandatory",
+                         id="mandatory-not-a-bool"),
+        ],
+    )
+    def test_tagged_union_errors_name_their_path(self, pointer, value, error, path):
+        doc = attack_doc()
+        doc["uncertainty"] = [
+            {"target": "/portfolio/gdfs/0/ben", "distribution": {"kind": "uniform", "lo": 1.0, "hi": 2.0}}
+        ]
+        set_at(doc, pointer, value)
+        if error is SchemaWarning:
+            with pytest.warns(SchemaWarning, match=f"^{re.escape(path)}: unknown field"):
+                parse_scenario(json.dumps(doc), lenient=True)
+            return
+        with pytest.raises(error) as err:
+            parse_scenario(json.dumps(doc))
+        assert type(err.value) is error
+        assert err.value.path == path
+
     def test_unresolvable_uncertainty_target_rejected(self):
         doc = minimal_doc()
         doc["uncertainty"] = [
@@ -274,15 +372,18 @@ class TestShippedScenarios:
         with pytest.raises(KeyError):
             bundled_scenario("nope")
 
-    @pytest.mark.parametrize("name", [
-        "remote-scada", "three-gdfs-comparison", "smart-meters-vs-relays", "wifi-thermostats",
+    @pytest.mark.parametrize("text", [
+        *(pytest.param(bundled_scenario_text(name), id=name) for name in (
+            "remote-scada", "three-gdfs-comparison", "smart-meters-vs-relays", "wifi-thermostats",
+        )),
+        pytest.param(EVERY_VARIANT, id="every-variant"),
     ])
-    def test_parse_serialize_identity(self, name):
-        sf = parse_scenario(bundled_scenario_text(name))
-        text = serialize_scenario(sf)
-        sf2 = parse_scenario(text)
+    def test_parse_serialize_identity(self, text):
+        sf = parse_scenario(text)
+        canonical = serialize_scenario(sf)
+        sf2 = parse_scenario(canonical)
         assert sf2 == sf
-        assert serialize_scenario(sf2) == text
+        assert serialize_scenario(sf2) == canonical
 
 
 class TestPortfolioDictRoundTrip:

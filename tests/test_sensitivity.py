@@ -50,6 +50,12 @@ def small_portfolio(seed=101, n=2):
     return Portfolio(gdfs=gdfs)
 
 
+def rejects(message: str, build):
+    """``build`` with the error message it must raise attached."""
+    build.message = message
+    return build
+
+
 class TestDistributions:
     def test_point_sampling_is_constant(self):
         rng = make_rng(0)
@@ -60,6 +66,8 @@ class TestDistributions:
     def test_uniform_degenerate_interval(self):
         rng = make_rng(0)
         assert Uniform(2.0, 2.0).sample(rng) == 2.0
+        assert Triangular(2.0, 2.0, 2.0).sample(rng) == 2.0
+        assert Pert(2.0, 2.0, 2.0).sample(rng) == 2.0
 
     def test_uniform_bounds_respected(self):
         rng = make_rng(1)
@@ -88,16 +96,17 @@ class TestDistributions:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: Uniform(2.0, 1.0),
-            lambda: Triangular(0.0, 2.0, 1.0),
-            lambda: Triangular(1.0, 0.0, 2.0),
-            lambda: Pert(5.0, 1.0, 10.0),
-            lambda: Point(math.nan),
-            lambda: Uniform(0.0, math.inf),
+            rejects(r"uniform needs lo <= hi, got \(2.0, 1.0\)", lambda: Uniform(2.0, 1.0)),
+            rejects(r"triangular needs lo <= mode <= hi, got \(0.0, 2.0, 1.0\)", lambda: Triangular(0.0, 2.0, 1.0)),
+            rejects(r"triangular needs lo <= mode <= hi, got \(1.0, 0.0, 2.0\)", lambda: Triangular(1.0, 0.0, 2.0)),
+            rejects(r"pert needs lo <= mode <= hi, got \(5.0, 1.0, 10.0\)", lambda: Pert(5.0, 1.0, 10.0)),
+            rejects(r"value must be finite, got nan", lambda: Point(math.nan)),
+            rejects(r"hi must be finite, got inf", lambda: Uniform(0.0, math.inf)),
+            rejects(r"value must be a number, got 'x'", lambda: Point("x")),
         ],
     )
     def test_invalid_distributions_rejected(self, build):
-        with pytest.raises(InvalidDistributionError):
+        with pytest.raises(InvalidDistributionError, match=f"^{build.message}$"):
             build()
 
 
@@ -289,6 +298,7 @@ class TestClamping:
                    quantities=("params",))
         assert r.clamp_events[target] == 0
         assert r.param_stats[target].mean > 1.0
+
 
 
 class TestInvalidDraws:
