@@ -41,7 +41,6 @@ from .io import (
 from .model import (
     AdverseEvent,
     AttackType,
-    CyclicDependencyError,
     DependencyEdge,
     DuplicateIdError,
     Exponential,

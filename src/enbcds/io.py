@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 from .evaluate import EnbcdsCurve
@@ -36,7 +36,6 @@ from .model import (
 )
 from .optimize import AllocationResult, OptimalSpend
 from .sensitivity import (
-    Distribution,
     Pert,
     Point,
     QuantityStats,
@@ -46,6 +45,7 @@ from .sensitivity import (
     UncertainParam,
     Uniform,
     _resolve_parent,
+    target_field,
 )
 
 __all__ = [
@@ -171,43 +171,73 @@ def _domain(path: str, build):
         raise ValidationError(f"{path}: {exc}", path=path) from exc
 
 
-_BREACH_FIELDS = {
-    "gordon-loeb-1": {"alpha", "beta"},
-    "gordon-loeb-2": {"alpha"},
-    "exponential": {"kappa"},
-    "table": {"knots"},
-}
-
-
-def _parse_breach(obj, path: str, lenient: bool):
-    obj = _expect_dict(obj, path)
-    family = _expect_string(_get(obj, "family", path), f"{path}/family")
-    if family not in _BREACH_FIELDS:
-        _fail(f"{path}/family", f"unknown breach family {family!r}; expected one of {sorted(_BREACH_FIELDS)}")
-    _check_unknown(obj, {"family"} | _BREACH_FIELDS[family], path, lenient)
-    if family == "gordon-loeb-1":
-        alpha = _expect_number(_get(obj, "alpha", path), f"{path}/alpha")
-        beta = _expect_number(obj.get("beta", 1.0), f"{path}/beta")
-        return _domain(path, lambda: GordonLoebI(alpha=alpha, beta=beta))
-    if family == "gordon-loeb-2":
-        alpha = _expect_number(_get(obj, "alpha", path), f"{path}/alpha")
-        return _domain(path, lambda: GordonLoebII(alpha=alpha))
-    if family == "exponential":
-        kappa = _expect_number(_get(obj, "kappa", path), f"{path}/kappa")
-        return _domain(path, lambda: Exponential(kappa=kappa))
-    knots_raw = _expect_list(_get(obj, "knots", path), f"{path}/knots")
+def _parse_knots(v, path: str) -> tuple[tuple[float, float], ...]:
     knots = []
-    for i, pair in enumerate(knots_raw):
-        pair = _expect_list(pair, f"{path}/knots/{i}")
+    for i, pair in enumerate(_expect_list(v, path)):
+        pair = _expect_list(pair, f"{path}/{i}")
         if len(pair) != 2:
-            _fail(f"{path}/knots/{i}", "expected a [spend, multiplier] pair")
-        knots.append(
-            (
-                _expect_number(pair[0], f"{path}/knots/{i}/0"),
-                _expect_number(pair[1], f"{path}/knots/{i}/1"),
+            _fail(f"{path}/{i}", "expected a [spend, multiplier] pair")
+        knots.append((_expect_number(pair[0], f"{path}/{i}/0"), _expect_number(pair[1], f"{path}/{i}/1")))
+    return tuple(knots)
+
+
+class _TaggedUnion:
+    """One tagged union of the format: each value of the ``tag`` field names
+    a model class, whose dataclass fields, in order, are that variant's
+    document fields; a field without a default is required.  Every field is
+    a number except ``knots``, a list of ``[spend, multiplier]`` pairs.  The
+    field specs are read from the classes once, here."""
+
+    def __init__(self, tag: str, what: str, classes: dict[str, type]):
+        self.tag, self.what = tag, what
+        self.variants = {}  # tag value -> (class, allowed keys, ((field, required, reader), ...))
+        self.by_class = {}  # class -> (tag value, field names)
+        for name, cls in classes.items():
+            names = tuple(f.name for f in fields(cls))
+            spec = tuple(
+                (f.name, f.default is MISSING, _parse_knots if f.name == "knots" else _expect_number)
+                for f in fields(cls)
             )
-        )
-    return _domain(path, lambda: Table(knots=tuple(knots)))
+            self.variants[name] = (cls, {tag, *names}, spec)
+            self.by_class[cls] = (name, names)
+
+    def parse(self, obj, path: str, lenient: bool) -> tuple[type, dict]:
+        """The variant's class and its constructor arguments, read from ``obj``."""
+        obj = _expect_dict(obj, path)
+        name = _expect_string(_get(obj, self.tag, path), f"{path}/{self.tag}")
+        if name not in self.variants:
+            _fail(f"{path}/{self.tag}", f"unknown {self.what} {name!r}; expected one of {sorted(self.variants)}")
+        cls, allowed, spec = self.variants[name]
+        _check_unknown(obj, allowed, path, lenient)
+        kwargs = {}
+        for field, required, read in spec:
+            if field in obj:
+                kwargs[field] = read(obj[field], f"{path}/{field}")
+            elif required:
+                _fail(f"{path}/{field}", "missing required field")
+        return cls, kwargs
+
+    def to_dict(self, value) -> dict:
+        name, names = self.by_class[type(value)]
+        doc = {self.tag: name}
+        for field in names:
+            v = getattr(value, field)
+            doc[field] = [list(knot) for knot in v] if field == "knots" else v
+        return doc
+
+
+_BREACH = _TaggedUnion("family", "breach family", {
+    "gordon-loeb-1": GordonLoebI,
+    "gordon-loeb-2": GordonLoebII,
+    "exponential": Exponential,
+    "table": Table,
+})
+_DISTRIBUTION = _TaggedUnion("kind", "distribution", {
+    "point": Point,
+    "uniform": Uniform,
+    "triangular": Triangular,
+    "pert": Pert,
+})
 
 
 def _parse_attack(obj, path: str, lenient: bool) -> AttackType:
@@ -216,7 +246,9 @@ def _parse_attack(obj, path: str, lenient: bool) -> AttackType:
     attack_id = _expect_string(_get(obj, "id", path), f"{path}/id")
     baseline = _expect_number(_get(obj, "baseline_prob", path), f"{path}/baseline_prob")
     loss = _expect_number(_get(obj, "loss", path), f"{path}/loss")
-    breach = _parse_breach(_get(obj, "breach", path), f"{path}/breach", lenient)
+    breach_path = f"{path}/breach"
+    breach_cls, breach_args = _BREACH.parse(_get(obj, "breach", path), breach_path, lenient)
+    breach = _domain(breach_path, lambda: breach_cls(**breach_args))
     description = _expect_string(obj.get("description", ""), f"{path}/description")
     return _domain(
         path,
@@ -315,32 +347,13 @@ def _parse_portfolio(obj, path: str, lenient: bool) -> Portfolio:
     return portfolio
 
 
-_DIST_FIELDS = {
-    "point": ("value",),
-    "uniform": ("lo", "hi"),
-    "triangular": ("lo", "mode", "hi"),
-    "pert": ("lo", "mode", "hi"),
-}
-_DIST_TYPES = {"point": Point, "uniform": Uniform, "triangular": Triangular, "pert": Pert}
-
-
 def _parse_uncertain(obj, path: str, lenient: bool) -> UncertainParam:
     obj = _expect_dict(obj, path)
     _check_unknown(obj, {"target", "distribution"}, path, lenient)
     target = _expect_string(_get(obj, "target", path), f"{path}/target")
-    dist_obj = _expect_dict(_get(obj, "distribution", path), f"{path}/distribution")
-    dist_path = f"{path}/distribution"
-    kind = _expect_string(_get(dist_obj, "kind", dist_path), f"{dist_path}/kind")
-    if kind not in _DIST_FIELDS:
-        _fail(f"{dist_path}/kind", f"unknown distribution {kind!r}; expected one of {sorted(_DIST_FIELDS)}")
-    _check_unknown(dist_obj, {"kind", *_DIST_FIELDS[kind]}, dist_path, lenient)
-    args = [
-        _expect_number(_get(dist_obj, name, dist_path), f"{dist_path}/{name}")
-        for name in _DIST_FIELDS[kind]
-    ]
+    cls, args = _DISTRIBUTION.parse(_get(obj, "distribution", path), f"{path}/distribution", lenient)
     try:
-        distribution = _DIST_TYPES[kind](*args)
-        return UncertainParam(target=target, distribution=distribution)
+        return UncertainParam(target=target, distribution=cls(**args))
     except SensitivityError as exc:
         raise ValidationError(f"{path}: {exc}", path=path) from exc
 
@@ -358,15 +371,14 @@ _FIELD_FLOORS = {
 
 def _check_support(param: UncertainParam, path: str) -> None:
     """Reject a distribution whose support leaves its target field's domain."""
-    parent, field = param.target.split("/")[-2:]
-    if parent == "uplift":  # the last token is an attack id
-        field = parent
+    field = target_field(param.target)
     floor = _FIELD_FLOORS.get(field)
     if floor is None:
         return
     bound, inclusive = floor
-    dist = param.distribution
-    low = dist.value if isinstance(dist, Point) else dist.lo
+    # parameters are non-decreasing, so the first is the support's low end
+    _, names = _DISTRIBUTION.by_class[type(param.distribution)]
+    low = getattr(param.distribution, names[0])
     if low < bound or (low == bound and not inclusive):
         raise ValidationError(
             f"{path}: support of {param.target} reaches {low!r}, but {field} must be "
@@ -419,18 +431,6 @@ def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
     )
 
 
-def _breach_to_dict(breach) -> dict:
-    if isinstance(breach, GordonLoebI):
-        return {"family": "gordon-loeb-1", "alpha": breach.alpha, "beta": breach.beta}
-    if isinstance(breach, GordonLoebII):
-        return {"family": "gordon-loeb-2", "alpha": breach.alpha}
-    if isinstance(breach, Exponential):
-        return {"family": "exponential", "kappa": breach.kappa}
-    if isinstance(breach, Table):
-        return {"family": "table", "knots": [[s, m] for s, m in breach.knots]}
-    raise TypeError(f"unknown breach model {type(breach).__name__}")
-
-
 def portfolio_to_dict(p: Portfolio) -> dict:
     """Canonical JSON-able form of a portfolio (fixed key order)."""
     return {
@@ -448,7 +448,7 @@ def portfolio_to_dict(p: Portfolio) -> dict:
                         "id": a.id,
                         "baseline_prob": a.baseline_prob,
                         "loss": a.loss,
-                        "breach": _breach_to_dict(a.breach),
+                        "breach": _BREACH.to_dict(a.breach),
                         "description": a.description,
                     }
                     for a in g.attacks
@@ -475,18 +475,6 @@ def portfolio_from_dict(d: dict) -> Portfolio:
     return _parse_portfolio(d, "/portfolio", lenient=False)
 
 
-def _dist_to_dict(dist: Distribution) -> dict:
-    if isinstance(dist, Point):
-        return {"kind": "point", "value": dist.value}
-    if isinstance(dist, Uniform):
-        return {"kind": "uniform", "lo": dist.lo, "hi": dist.hi}
-    if isinstance(dist, Triangular):
-        return {"kind": "triangular", "lo": dist.lo, "mode": dist.mode, "hi": dist.hi}
-    if isinstance(dist, Pert):
-        return {"kind": "pert", "lo": dist.lo, "mode": dist.mode, "hi": dist.hi}
-    raise TypeError(f"unknown distribution {type(dist).__name__}")
-
-
 def serialize_scenario(sf: ScenarioFile) -> str:
     """Canonical text form; parse(serialize(sf)) == sf on validated files."""
     doc = {
@@ -494,7 +482,7 @@ def serialize_scenario(sf: ScenarioFile) -> str:
         "metadata": {"title": sf.title, "notes": sf.notes},
         "portfolio": portfolio_to_dict(sf.portfolio),
         "uncertainty": [
-            {"target": u.target, "distribution": _dist_to_dict(u.distribution)}
+            {"target": u.target, "distribution": _DISTRIBUTION.to_dict(u.distribution)}
             for u in sf.uncertainty
         ],
     }

@@ -28,7 +28,6 @@ __all__ = [
     "NegativeMoneyError",
     "ProbabilityOutOfRangeError",
     "DuplicateIdError",
-    "CyclicDependencyError",
     "NonConvexTableError",
     "PortfolioValidationError",
     "Violation",
@@ -61,10 +60,6 @@ class ProbabilityOutOfRangeError(ModelError):
 
 
 class DuplicateIdError(ModelError):
-    pass
-
-
-class CyclicDependencyError(ModelError):
     pass
 
 

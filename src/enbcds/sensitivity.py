@@ -40,6 +40,7 @@ __all__ = [
     "SensitivityReport",
     "ALL_QUANTITIES",
     "sample",
+    "target_field",
 ]
 
 # probability-valued scenario fields, clamped to [0, 1] after sampling
@@ -60,22 +61,33 @@ class InvalidDistributionError(SensitivityError):
     pass
 
 
-def _require_finite(name: str, v) -> float:
-    try:
-        v = float(v)
-    except (TypeError, ValueError):
-        raise InvalidDistributionError(f"{name} must be a number, got {v!r}")
-    if not math.isfinite(v):
-        raise InvalidDistributionError(f"{name} must be finite, got {v!r}")
-    return v
+class _Parameters:
+    """The one check of every distribution: each parameter is a finite
+    number, and the parameters are non-decreasing in field order."""
+
+    def __post_init__(self):
+        names = self.__match_args__  # the dataclass fields, in order
+        values = []
+        for name in names:
+            v = getattr(self, name)
+            try:
+                v = float(v)
+            except (TypeError, ValueError):
+                raise InvalidDistributionError(f"{name} must be a number, got {v!r}")
+            if not math.isfinite(v):
+                raise InvalidDistributionError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, v)
+            values.append(v)
+        if any(b < a for a, b in zip(values, values[1:])):
+            raise InvalidDistributionError(
+                f"{type(self).__name__.lower()} needs {' <= '.join(names)}, "
+                f"got ({', '.join(map(str, values))})"
+            )
 
 
 @dataclass(frozen=True)
-class Point:
+class Point(_Parameters):
     value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _require_finite("value", self.value))
 
     def sample(self, rng: np.random.Generator) -> float:
         return self.value
@@ -85,15 +97,9 @@ class Point:
 
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Parameters):
     lo: float
     hi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _require_finite("lo", self.lo))
-        object.__setattr__(self, "hi", _require_finite("hi", self.hi))
-        if self.lo > self.hi:
-            raise InvalidDistributionError(f"uniform needs lo <= hi, got ({self.lo}, {self.hi})")
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.lo == self.hi:
@@ -105,19 +111,10 @@ class Uniform:
 
 
 @dataclass(frozen=True)
-class Triangular:
+class Triangular(_Parameters):
     lo: float
     mode: float
     hi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _require_finite("lo", self.lo))
-        object.__setattr__(self, "mode", _require_finite("mode", self.mode))
-        object.__setattr__(self, "hi", _require_finite("hi", self.hi))
-        if not (self.lo <= self.mode <= self.hi):
-            raise InvalidDistributionError(
-                f"triangular needs lo <= mode <= hi, got ({self.lo}, {self.mode}, {self.hi})"
-            )
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.lo == self.hi:
@@ -129,21 +126,12 @@ class Triangular:
 
 
 @dataclass(frozen=True)
-class Pert:
+class Pert(_Parameters):
     """Beta-PERT: a beta distribution reshaped to (lo, mode, hi) with shape 4."""
 
     lo: float
     mode: float
     hi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _require_finite("lo", self.lo))
-        object.__setattr__(self, "mode", _require_finite("mode", self.mode))
-        object.__setattr__(self, "hi", _require_finite("hi", self.hi))
-        if not (self.lo <= self.mode <= self.hi):
-            raise InvalidDistributionError(
-                f"pert needs lo <= mode <= hi, got ({self.lo}, {self.mode}, {self.hi})"
-            )
 
     def sample(self, rng: np.random.Generator) -> float:
         span = self.hi - self.lo
@@ -176,6 +164,14 @@ class UncertainParam:
             raise UnresolvedTargetError(
                 f"target must be a JSON pointer under /portfolio/, got {self.target!r}"
             )
+
+
+def target_field(pointer: str) -> str:
+    """The scenario field an uncertainty target sets: its last token, except
+    that every entry of an edge's uplift map, whatever its attack id, is the
+    field ``uplift``."""
+    parent, field = pointer.split("/")[-2:]
+    return "uplift" if parent == "uplift" else field
 
 
 def _pointer_tokens(pointer: str) -> list[str]:
@@ -297,7 +293,7 @@ def sample(
     # current draw's values and needs no copy
     doc = {"portfolio": portfolio_to_dict(p)}
     slots = [
-        (*_resolve_parent(doc, param.target), param.target.rsplit("/", 1)[-1] in _PROB_FIELDS)
+        (*_resolve_parent(doc, param.target), target_field(param.target) in _PROB_FIELDS)
         for param in params
     ]
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from enbcds.model import (
     AdverseEvent,
     AttackType,
-    CyclicDependencyError,
     DependencyEdge,
     DuplicateIdError,
     Exponential,
@@ -114,9 +113,6 @@ class TestCycleDetection:
             DependencyEdge(source="g2", target="g3", uplift={"a3": 2.0}),
         )
         assert portfolio_violations(Portfolio(gdfs=gdfs, edges=edges)) == []
-
-    def test_cyclic_dependency_error_is_model_error(self):
-        assert issubclass(CyclicDependencyError, ModelError)
 
 
 class TestPortfolioViolations:

@@ -33,3 +33,14 @@ def test_make_figures_renders_every_bundled_scenario(tmp_path):
         ids = bundled_scenario(name).portfolio.ids()
         assert sorted(f.name for f in target.glob("*.svg")) == sorted(f"{i}.svg" for i in ids)
         assert (target / "report.txt").read_text().strip()
+
+
+def test_op_digests_prints_one_digest_per_op(capsys):
+    assert _main("op_digests.py")(["--workload", "alloc-coupled", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        seed, workload, op, digest = line.split(" ")
+        assert (seed, workload) == ("1", "alloc-coupled")
+        assert op.startswith("cpl-")
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")

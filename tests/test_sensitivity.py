@@ -9,6 +9,7 @@ import pytest
 
 from enbcds import (
     AttackType,
+    DependencyEdge,
     EvalContext,
     Gdf,
     GordonLoebII,
@@ -299,6 +300,18 @@ class TestClamping:
         assert r.clamp_events[target] == 0
         assert r.param_stats[target].mean > 1.0
 
+    def test_uplift_keyed_by_a_probability_field_name_is_not_clamped(self):
+        # "prob" is the id of the child's attack: the entry is an uplift >= 1
+        attack = AttackType(id="prob", baseline_prob=0.1, loss=100.0, breach=GordonLoebII(alpha=1e-3))
+        p = Portfolio(
+            gdfs=(Gdf(id="up", ben=10.0), Gdf(id="down", ben=10.0, attacks=(attack,))),
+            edges=(DependencyEdge(source="up", target="down", uplift={"prob": 3.0}),),
+        )
+        target = "/portfolio/edges/0/uplift/prob"
+        r = sample(p, [UncertainParam(target, Uniform(2.0, 4.0))], draws=5, seed=1,
+                   quantities=("params",))
+        assert r.clamp_events[target] == 0
+        assert 2.0 <= r.param_stats[target].p5 <= r.param_stats[target].p95 <= 4.0
 
 
 class TestInvalidDraws:
