@@ -267,6 +267,21 @@ class TestParseScenario:
                          id="attacks-not-an-array"),
             pytest.param("/portfolio/gdfs/0/mandatory", 1, SchemaError, "/portfolio/gdfs/0/mandatory",
                          id="mandatory-not-a-bool"),
+            pytest.param("/portfolio/gdfs/0/attacks/0/loss", float("inf"), ValidationError,
+                         "/portfolio/gdfs/0/attacks/0", id="money-not-finite"),
+            pytest.param(BREACH, {"family": "table", "knots": []}, ValidationError, BREACH,
+                         id="table-without-knots"),
+            pytest.param(BREACH, {"family": "table", "knots": [[0, 1], [float("inf"), 0.5]]}, ValidationError,
+                         BREACH, id="knot-not-finite"),
+            pytest.param(BREACH, {"family": "table", "knots": [[0, 1], [10, 0.5], [5, 0.4]]}, ValidationError,
+                         BREACH, id="knot-spends-not-increasing"),
+            pytest.param("/portfolio/gdfs/0/attacks/0/id", "", ValidationError, "/portfolio/gdfs/0/attacks/0",
+                         id="attack-id-empty"),
+            pytest.param("/portfolio/gdfs/0/adverse", [{"id": "", "prob": 0.1, "cost": 1.0}], ValidationError,
+                         "/portfolio/gdfs/0/adverse/0", id="adverse-id-empty"),
+            pytest.param("/portfolio/gdfs/0/id", "", ValidationError, "/portfolio/gdfs/0", id="gdf-id-empty"),
+            pytest.param("/uncertainty/0/target", "/portfolio/budget/x", ValidationError, "/uncertainty/0",
+                         id="target-reaches-a-scalar-early"),
         ],
     )
     def test_tagged_union_errors_name_their_path(self, pointer, value, error, path):

@@ -405,3 +405,14 @@ def test_uniform_start_finds_what_the_water_fill_start_misses():
     r = allocate(p, budget=0.01 * scale)
     assert not r.dropped
     assert best_transfer_gain(p, r.spends) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_zero_budget_leaves_every_coupled_spend_at_zero(seed):
+    # at budget 0 every pair of spends is (0, 0), so the refinement skips
+    # every transfer and the split stays where the water fill put it
+    p = random_portfolio(make_rng(seed), 4, with_edges=True)
+    r = allocate(p, budget=0.0)
+    assert set(r.spends) == set(p.ids()) and not r.dropped
+    assert all(s == 0.0 for s in r.spends.values())
+    assert r.objective == pytest.approx(oracle_total(p, dict.fromkeys(p.ids(), 0.0)), rel=1e-12)
