@@ -3,7 +3,8 @@
 
 With no arguments this renders every bundled scenario into out/figures/:
 one SVG net-benefit curve per GDF (peak and, when recorded, actual spend
-marked) plus the text report with allocation and spending advice.
+marked) plus the text report with allocation and spending advice.  Each
+scenario is one ``enbcds report --plots`` call.
 
 Usage:
     python3 scripts/make_figures.py
@@ -15,37 +16,9 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+from importlib import resources
 
-from enbcds import (
-    EvalContext,
-    allocate,
-    bundled_scenario_names,
-    bundled_scenario_text,
-    emit_curve,
-    emit_report,
-    enb,
-    enbcds_curve,
-    optimal_spend,
-    parse_scenario,
-)
-
-
-def render(name: str, text: str, out_dir: pathlib.Path) -> None:
-    sf = parse_scenario(text)
-    p = sf.portfolio
-    target = out_dir / name
-    target.mkdir(parents=True, exist_ok=True)
-    spends = {g.id: g.actual_spend or 0.0 for g in p.gdfs}
-    ctx = EvalContext(p, spends, "additive")
-    for x in p.gdfs:
-        curve = enbcds_curve(x, context=ctx)
-        svg = emit_curve(curve, format="svg", actual_spend=x.actual_spend)
-        (target / f"{x.id}.svg").write_bytes(svg)
-    optimal = {g.id: optimal_spend(g, context=ctx) for g in p.gdfs}
-    values_at_actual = {g.id: enb(g, spends[g.id], ctx) for g in p.gdfs}
-    report = emit_report(p, optimal, allocate(p), values_at_actual)
-    (target / "report.txt").write_text(report)
-    print(f"{name}: {len(p.gdfs)} curve(s) -> {target}")
+from enbcds import bundled_scenario_names, cli
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,18 +31,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="out/figures", help="output directory")
     args = parser.parse_args(argv)
 
-    out_dir = pathlib.Path(args.out)
-    if args.scenario:
-        jobs = []
-        for f in args.scenario:
-            if f in bundled_scenario_names():
-                jobs.append((f, bundled_scenario_text(f)))
-            else:
-                jobs.append((pathlib.Path(f).stem, pathlib.Path(f).read_text()))
-    else:
-        jobs = [(n, bundled_scenario_text(n)) for n in bundled_scenario_names()]
-    for name, text in jobs:
-        render(name, text, out_dir)
+    for f in args.scenario or bundled_scenario_names():
+        if f in bundled_scenario_names():
+            name, source = f, resources.files("enbcds") / f"scenarios/{f}.json"
+        else:
+            name, source = pathlib.Path(f).stem, pathlib.Path(f)
+        target = pathlib.Path(args.out) / name
+        with resources.as_file(source) as path:
+            status = cli.main(["report", str(path), "--plots", str(target), "-o", str(target / "report.txt")])
+        if status:
+            return status
+        print(f"{name} -> {target}")
     return 0
 
 

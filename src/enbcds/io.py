@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from .evaluate import EnbcdsCurve
 from .model import (
@@ -163,15 +164,11 @@ def _check_unknown(obj: dict, allowed: set[str], path: str, lenient: bool) -> No
         raise SchemaError(message, path=f"{path}/{unknown[0]}")
 
 
-def _domain(path: str, build):
-    """Run a domain constructor, re-raising model errors with path context."""
-    try:
-        return build()
-    except ModelError as exc:
-        raise ValidationError(f"{path}: {exc}", path=path) from exc
+def _expect_optional_number(v, path: str) -> float | None:
+    return None if v is None else _expect_number(v, path)
 
 
-def _parse_knots(v, path: str) -> tuple[tuple[float, float], ...]:
+def _parse_knots(v, path: str, lenient: bool) -> tuple[tuple[float, float], ...]:
     knots = []
     for i, pair in enumerate(_expect_list(v, path)):
         pair = _expect_list(pair, f"{path}/{i}")
@@ -181,49 +178,105 @@ def _parse_knots(v, path: str) -> tuple[tuple[float, float], ...]:
     return tuple(knots)
 
 
+def _parse_uplift(v, path: str, lenient: bool) -> dict[str, float]:
+    return {
+        _expect_string(k, path): _expect_number(u, f"{path}/{k}")
+        for k, u in _expect_dict(v, path).items()
+    }
+
+
+class _Codec(NamedTuple):  # how a non-scalar field is read and written back
+    parse: Callable  # (value, path, lenient) -> model value
+    to_dict: Callable  # model value -> document value
+
+
+_KNOTS = _Codec(_parse_knots, lambda knots: [list(knot) for knot in knots])
+_UPLIFT = _Codec(_parse_uplift, lambda uplift: {k: uplift[k] for k in sorted(uplift)})
+
+_REQUIRED = object()  # the document must give the field
+_OPTIONAL = object()  # a missing field takes the model class's default
+
+
+class _Record:
+    """One object of the format: a model class and, in ``table``, its
+    document fields in document order.  Each field is ``(name, codec,
+    default)``: the codec is a scalar reader ``(value, path)`` whose value
+    is written as is, or a :class:`_Codec`, :class:`_Record` or
+    :class:`_TaggedUnion`.  The default is ``_REQUIRED``, ``_OPTIONAL``, or
+    a function of the fields read before it.  A variant of a tagged union
+    writes its ``head``, the ``{tag: value}`` pair, first.  Model errors
+    from the class name the object's path."""
+
+    def __init__(self, cls: type, table, head: dict | None = None):
+        self.cls, self.head = cls, head or {}
+        self.allowed = frozenset([*self.head, *(name for name, _, _ in table)])
+        self.readers = tuple(
+            (name, codec, False, default) if callable(codec) else (name, codec.parse, True, default)
+            for name, codec, default in table
+        )
+        self.writers = tuple((name, None if callable(codec) else codec.to_dict) for name, codec, _ in table)
+
+    def parse(self, obj, path: str, lenient: bool):
+        obj = _expect_dict(obj, path)
+        _check_unknown(obj, self.allowed, path, lenient)
+        kwargs = {}
+        for name, read, nested, default in self.readers:
+            if name in obj:
+                where = f"{path}/{name}"
+                kwargs[name] = read(obj[name], where, lenient) if nested else read(obj[name], where)
+            elif default is _REQUIRED:
+                _fail(f"{path}/{name}", "missing required field")
+            elif default is not _OPTIONAL:
+                kwargs[name] = default(kwargs)
+        try:
+            return self.cls(**kwargs)
+        except ModelError as exc:
+            raise ValidationError(f"{path}: {exc}", path=path) from exc
+
+    def to_dict(self, value) -> dict:
+        doc = dict(self.head)
+        for name, write in self.writers:
+            v = getattr(value, name)
+            doc[name] = v if write is None else write(v)
+        return doc
+
+
+def _list_of(record: _Record) -> _Codec:
+    return _Codec(
+        lambda v, path, lenient: [
+            record.parse(item, f"{path}/{i}", lenient) for i, item in enumerate(_expect_list(v, path))
+        ],
+        lambda items: [record.to_dict(item) for item in items],
+    )
+
+
 class _TaggedUnion:
     """One tagged union of the format: each value of the ``tag`` field names
     a model class, whose dataclass fields, in order, are that variant's
     document fields; a field without a default is required.  Every field is
-    a number except ``knots``, a list of ``[spend, multiplier]`` pairs.  The
-    field specs are read from the classes once, here."""
+    a number except ``knots``, a list of ``[spend, multiplier]`` pairs."""
 
     def __init__(self, tag: str, what: str, classes: dict[str, type]):
         self.tag, self.what = tag, what
-        self.variants = {}  # tag value -> (class, allowed keys, ((field, required, reader), ...))
-        self.by_class = {}  # class -> (tag value, field names)
-        for name, cls in classes.items():
-            names = tuple(f.name for f in fields(cls))
-            spec = tuple(
-                (f.name, f.default is MISSING, _parse_knots if f.name == "knots" else _expect_number)
+        self.variants = {
+            name: _Record(cls, [
+                (f.name, _KNOTS if f.name == "knots" else _expect_number,
+                 _REQUIRED if f.default is MISSING else _OPTIONAL)
                 for f in fields(cls)
-            )
-            self.variants[name] = (cls, {tag, *names}, spec)
-            self.by_class[cls] = (name, names)
+            ], head={tag: name})
+            for name, cls in classes.items()
+        }
+        self.records = {record.cls: record for record in self.variants.values()}
 
-    def parse(self, obj, path: str, lenient: bool) -> tuple[type, dict]:
-        """The variant's class and its constructor arguments, read from ``obj``."""
+    def parse(self, obj, path: str, lenient: bool):
         obj = _expect_dict(obj, path)
         name = _expect_string(_get(obj, self.tag, path), f"{path}/{self.tag}")
         if name not in self.variants:
             _fail(f"{path}/{self.tag}", f"unknown {self.what} {name!r}; expected one of {sorted(self.variants)}")
-        cls, allowed, spec = self.variants[name]
-        _check_unknown(obj, allowed, path, lenient)
-        kwargs = {}
-        for field, required, read in spec:
-            if field in obj:
-                kwargs[field] = read(obj[field], f"{path}/{field}")
-            elif required:
-                _fail(f"{path}/{field}", "missing required field")
-        return cls, kwargs
+        return self.variants[name].parse(obj, path, lenient)
 
     def to_dict(self, value) -> dict:
-        name, names = self.by_class[type(value)]
-        doc = {self.tag: name}
-        for field in names:
-            v = getattr(value, field)
-            doc[field] = [list(knot) for knot in v] if field == "knots" else v
-        return doc
+        return self.records[type(value)].to_dict(value)
 
 
 _BREACH = _TaggedUnion("family", "breach family", {
@@ -238,107 +291,42 @@ _DISTRIBUTION = _TaggedUnion("kind", "distribution", {
     "triangular": Triangular,
     "pert": Pert,
 })
-
-
-def _parse_attack(obj, path: str, lenient: bool) -> AttackType:
-    obj = _expect_dict(obj, path)
-    _check_unknown(obj, {"id", "baseline_prob", "loss", "breach", "description"}, path, lenient)
-    attack_id = _expect_string(_get(obj, "id", path), f"{path}/id")
-    baseline = _expect_number(_get(obj, "baseline_prob", path), f"{path}/baseline_prob")
-    loss = _expect_number(_get(obj, "loss", path), f"{path}/loss")
-    breach_path = f"{path}/breach"
-    breach_cls, breach_args = _BREACH.parse(_get(obj, "breach", path), breach_path, lenient)
-    breach = _domain(breach_path, lambda: breach_cls(**breach_args))
-    description = _expect_string(obj.get("description", ""), f"{path}/description")
-    return _domain(
-        path,
-        lambda: AttackType(
-            id=attack_id, baseline_prob=baseline, loss=loss, breach=breach, description=description
-        ),
-    )
-
-
-def _parse_adverse(obj, path: str, lenient: bool) -> AdverseEvent:
-    obj = _expect_dict(obj, path)
-    _check_unknown(obj, {"id", "prob", "cost"}, path, lenient)
-    return _domain(
-        path,
-        lambda: AdverseEvent(
-            id=_expect_string(_get(obj, "id", path), f"{path}/id"),
-            prob=_expect_number(_get(obj, "prob", path), f"{path}/prob"),
-            cost=_expect_number(_get(obj, "cost", path), f"{path}/cost"),
-        ),
-    )
-
-
-def _parse_gdf(obj, path: str, lenient: bool) -> Gdf:
-    obj = _expect_dict(obj, path)
-    allowed = {"id", "name", "ben", "dir_costs", "mandatory", "actual_spend", "attacks", "adverse"}
-    _check_unknown(obj, allowed, path, lenient)
-    gdf_id = _expect_string(_get(obj, "id", path), f"{path}/id")
-    name = _expect_string(obj.get("name", gdf_id), f"{path}/name")
-    ben = _expect_number(_get(obj, "ben", path), f"{path}/ben")
-    dir_costs = _expect_number(_get(obj, "dir_costs", path), f"{path}/dir_costs")
-    mandatory = _expect_bool(obj.get("mandatory", False), f"{path}/mandatory")
-    actual = obj.get("actual_spend")
-    if actual is not None:
-        actual = _expect_number(actual, f"{path}/actual_spend")
-    attacks = [
-        _parse_attack(a, f"{path}/attacks/{i}", lenient)
-        for i, a in enumerate(_expect_list(obj.get("attacks", []), f"{path}/attacks"))
-    ]
-    adverse = [
-        _parse_adverse(a, f"{path}/adverse/{i}", lenient)
-        for i, a in enumerate(_expect_list(obj.get("adverse", []), f"{path}/adverse"))
-    ]
-    return _domain(
-        path,
-        lambda: Gdf(
-            id=gdf_id,
-            name=name,
-            ben=ben,
-            dir_costs=dir_costs,
-            attacks=tuple(attacks),
-            adverse=tuple(adverse),
-            mandatory=mandatory,
-            actual_spend=actual,
-        ),
-    )
-
-
-def _parse_edge(obj, path: str, lenient: bool) -> DependencyEdge:
-    obj = _expect_dict(obj, path)
-    _check_unknown(obj, {"source", "target", "uplift"}, path, lenient)
-    uplift_raw = _expect_dict(_get(obj, "uplift", path), f"{path}/uplift")
-    uplift = {
-        _expect_string(k, f"{path}/uplift"): _expect_number(v, f"{path}/uplift/{k}")
-        for k, v in uplift_raw.items()
-    }
-    return _domain(
-        path,
-        lambda: DependencyEdge(
-            source=_expect_string(_get(obj, "source", path), f"{path}/source"),
-            target=_expect_string(_get(obj, "target", path), f"{path}/target"),
-            uplift=uplift,
-        ),
-    )
+_ATTACK = _Record(AttackType, [
+    ("id", _expect_string, _REQUIRED),
+    ("baseline_prob", _expect_number, _REQUIRED),
+    ("loss", _expect_number, _REQUIRED),
+    ("breach", _BREACH, _REQUIRED),
+    ("description", _expect_string, _OPTIONAL),
+])
+_ADVERSE = _Record(AdverseEvent, [
+    ("id", _expect_string, _REQUIRED),
+    ("prob", _expect_number, _REQUIRED),
+    ("cost", _expect_number, _REQUIRED),
+])
+_GDF = _Record(Gdf, [
+    ("id", _expect_string, _REQUIRED),
+    ("name", _expect_string, lambda read: read["id"]),
+    ("ben", _expect_number, _REQUIRED),
+    ("dir_costs", _expect_number, _REQUIRED),
+    ("mandatory", _expect_bool, _OPTIONAL),
+    ("actual_spend", _expect_optional_number, _OPTIONAL),
+    ("attacks", _list_of(_ATTACK), _OPTIONAL),
+    ("adverse", _list_of(_ADVERSE), _OPTIONAL),
+])
+_EDGE = _Record(DependencyEdge, [
+    ("source", _expect_string, _REQUIRED),
+    ("target", _expect_string, _REQUIRED),
+    ("uplift", _UPLIFT, _REQUIRED),
+])
+_PORTFOLIO = _Record(Portfolio, [
+    ("budget", _expect_optional_number, _REQUIRED),  # null = unconstrained
+    ("gdfs", _list_of(_GDF), _REQUIRED),
+    ("edges", _list_of(_EDGE), _OPTIONAL),
+])
 
 
 def _parse_portfolio(obj, path: str, lenient: bool) -> Portfolio:
-    obj = _expect_dict(obj, path)
-    _check_unknown(obj, {"budget", "gdfs", "edges"}, path, lenient)
-    budget = _get(obj, "budget", path)  # key must be present; null = unconstrained
-    if budget is not None:
-        budget = _expect_number(budget, f"{path}/budget")
-    gdfs = [
-        _parse_gdf(g, f"{path}/gdfs/{i}", lenient)
-        for i, g in enumerate(_expect_list(_get(obj, "gdfs", path), f"{path}/gdfs"))
-    ]
-    edges = [
-        _parse_edge(e, f"{path}/edges/{i}", lenient)
-        for i, e in enumerate(_expect_list(obj.get("edges", []), f"{path}/edges"))
-    ]
-    portfolio = _domain(path, lambda: Portfolio(gdfs=tuple(gdfs), edges=tuple(edges), budget=budget))
+    portfolio = _PORTFOLIO.parse(obj, path, lenient)
     try:
         validate_portfolio(portfolio)
     except PortfolioValidationError as exc:
@@ -351,9 +339,9 @@ def _parse_uncertain(obj, path: str, lenient: bool) -> UncertainParam:
     obj = _expect_dict(obj, path)
     _check_unknown(obj, {"target", "distribution"}, path, lenient)
     target = _expect_string(_get(obj, "target", path), f"{path}/target")
-    cls, args = _DISTRIBUTION.parse(_get(obj, "distribution", path), f"{path}/distribution", lenient)
     try:
-        return UncertainParam(target=target, distribution=cls(**args))
+        distribution = _DISTRIBUTION.parse(_get(obj, "distribution", path), f"{path}/distribution", lenient)
+        return UncertainParam(target=target, distribution=distribution)
     except SensitivityError as exc:
         raise ValidationError(f"{path}: {exc}", path=path) from exc
 
@@ -377,8 +365,7 @@ def _check_support(param: UncertainParam, path: str) -> None:
         return
     bound, inclusive = floor
     # parameters are non-decreasing, so the first is the support's low end
-    _, names = _DISTRIBUTION.by_class[type(param.distribution)]
-    low = getattr(param.distribution, names[0])
+    low = getattr(param.distribution, param.distribution.__match_args__[0])
     if low < bound or (low == bound and not inclusive):
         raise ValidationError(
             f"{path}: support of {param.target} reaches {low!r}, but {field} must be "
@@ -415,7 +402,8 @@ def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
         _parse_uncertain(u, f"/uncertainty/{i}", lenient)
         for i, u in enumerate(_expect_list(doc.get("uncertainty", []), "/uncertainty"))
     ]
-    resolved_doc = {"portfolio": portfolio_to_dict(portfolio)}
+    if uncertainty:
+        resolved_doc = {"portfolio": portfolio_to_dict(portfolio)}
     for i, param in enumerate(uncertainty):
         try:
             _resolve_parent(resolved_doc, param.target)
@@ -433,41 +421,7 @@ def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
 
 def portfolio_to_dict(p: Portfolio) -> dict:
     """Canonical JSON-able form of a portfolio (fixed key order)."""
-    return {
-        "budget": p.budget,
-        "gdfs": [
-            {
-                "id": g.id,
-                "name": g.name,
-                "ben": g.ben,
-                "dir_costs": g.dir_costs,
-                "mandatory": g.mandatory,
-                "actual_spend": g.actual_spend,
-                "attacks": [
-                    {
-                        "id": a.id,
-                        "baseline_prob": a.baseline_prob,
-                        "loss": a.loss,
-                        "breach": _BREACH.to_dict(a.breach),
-                        "description": a.description,
-                    }
-                    for a in g.attacks
-                ],
-                "adverse": [
-                    {"id": e.id, "prob": e.prob, "cost": e.cost} for e in g.adverse
-                ],
-            }
-            for g in p.gdfs
-        ],
-        "edges": [
-            {
-                "source": e.source,
-                "target": e.target,
-                "uplift": {k: e.uplift[k] for k in sorted(e.uplift)},
-            }
-            for e in p.edges
-        ],
-    }
+    return _PORTFOLIO.to_dict(p)
 
 
 def portfolio_from_dict(d: dict) -> Portfolio:
@@ -647,7 +601,7 @@ def bundled_scenario(name: str) -> ScenarioFile:
 
 
 def optimal_to_dict(best: OptimalSpend) -> dict:
-    return {"s_star": best.s_star, "value": best.value}
+    return best._asdict()
 
 
 def curve_to_dict(curve: EnbcdsCurve) -> dict:
@@ -675,22 +629,8 @@ def allocation_to_dict(result: AllocationResult) -> dict:
 
 
 def stats_to_dict(stats: QuantityStats) -> dict:
-    return {"mean": stats.mean, "std": stats.std, "p5": stats.p5, "p50": stats.p50, "p95": stats.p95}
+    return asdict(stats)
 
 
 def sensitivity_to_dict(report: SensitivityReport) -> dict:
-    return {
-        "draws": report.draws,
-        "seed": report.seed,
-        "param_stats": {k: stats_to_dict(v) for k, v in report.param_stats.items()},
-        "clamp_events": dict(report.clamp_events),
-        "spends_used": dict(report.spends_used),
-        "enbcds_at_spend": {k: stats_to_dict(v) for k, v in report.enbcds_at_spend.items()},
-        "s_star": {k: stats_to_dict(v) for k, v in report.s_star.items()},
-        "allocation_objective": (
-            stats_to_dict(report.allocation_objective)
-            if report.allocation_objective is not None
-            else None
-        ),
-        "drop_frequency": dict(report.drop_frequency),
-    }
+    return asdict(report)

@@ -179,7 +179,9 @@ def _pointer_tokens(pointer: str) -> list[str]:
 
 
 def _resolve_parent(doc, pointer: str):
-    """Walk ``doc`` to the container holding the pointed-at scalar."""
+    """Walk ``doc`` to the container holding the pointed-at scalar.  An
+    ``UncertainParam`` target has at least two tokens, so the walk always
+    returns or raises."""
     tokens = _pointer_tokens(pointer)
     node = doc
     for i, token in enumerate(tokens):
@@ -199,7 +201,6 @@ def _resolve_parent(doc, pointer: str):
                 raise UnresolvedTargetError(f"{pointer}: target is not a numeric scalar")
             return node, key
         node = node[key]
-    raise UnresolvedTargetError(f"{pointer}: empty pointer")
 
 
 @dataclass(frozen=True)

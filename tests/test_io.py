@@ -282,6 +282,8 @@ class TestParseScenario:
             pytest.param("/portfolio/gdfs/0/id", "", ValidationError, "/portfolio/gdfs/0", id="gdf-id-empty"),
             pytest.param("/uncertainty/0/target", "/portfolio/budget/x", ValidationError, "/uncertainty/0",
                          id="target-reaches-a-scalar-early"),
+            pytest.param("/portfolio/edges", [{}], SchemaError, "/portfolio/edges/0/source",
+                         id="edge-missing-every-field"),
         ],
     )
     def test_tagged_union_errors_name_their_path(self, pointer, value, error, path):

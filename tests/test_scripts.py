@@ -1,10 +1,11 @@
 """The scripts under scripts/ run end to end on the bundled scenarios."""
 
 import csv
+import hashlib
 import pathlib
 import runpy
 
-from enbcds import bundled_scenario, bundled_scenario_names
+from enbcds import bundled_scenario, bundled_scenario_names, serialize_scenario
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -44,3 +45,14 @@ def test_op_digests_prints_one_digest_per_op(capsys):
         assert (seed, workload) == ("1", "alloc-coupled")
         assert op.startswith("cpl-")
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+
+def test_parse_digests_prints_both_modes_of_every_mutation(capsys):
+    assert _main("parse_digests.py")(["bundled:wifi-thermostats"]) == 0
+    rows = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+    assert all(len(row) == 3 and len(row[2]) == 64 for row in rows)
+    assert [row[1] for row in rows] == ["strict", "lenient"] * (len(rows) // 2)
+    ids = [row[0] for row in rows[::2]]
+    assert ids[0] == "bundled:wifi-thermostats" and len(set(ids)) == len(ids) > 100
+    canonical = serialize_scenario(bundled_scenario("wifi-thermostats"))
+    assert rows[0][2] == rows[1][2] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
