@@ -9,15 +9,26 @@ stdout, or the op's failure in place of the digest.  Run it on two
 checkouts and diff the output to show that a change leaves every op's
 bytes as they were.
 
+``--dump FILE`` also writes every op's stdout (or its failure) to FILE as a
+JSON map keyed ``seed workload op``.  ``--against FILE`` prints, in place of
+the digests, one line for each op whose output differs from such a dump:
+the largest relative change of any number in its JSON output and the JSON
+path where it occurs (``inf`` where the two differ in shape or in a value
+that is not a number), or the failure.
+
 Usage:
     python3 scripts/op_digests.py
     python3 scripts/op_digests.py --workload alloc-coupled --seed 1
+    python3 scripts/op_digests.py --dump before.json   # on the old checkout
+    python3 scripts/op_digests.py --against before.json   # on the new one
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -31,14 +42,54 @@ from harness import DEFAULT_SEED, HELD_OUT_SEED, call_cli  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 
 
+def largest_change(old, new, path: str = "") -> tuple[float, str]:
+    """Largest relative change ``|new - old| / max(|old|, |new|)`` between
+    two parsed JSON documents, with the path of the number where it occurs;
+    ``inf`` at the first place where they differ in shape or in a non-number."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        parts = [largest_change(old[k], new[k], f"{path}/{k}") for k in old]
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        parts = [largest_change(a, b, f"{path}/{i}") for i, (a, b) in enumerate(zip(old, new))]
+    elif old == new or old != old and new != new:  # equal, or both NaN
+        return 0.0, path or "/"
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        scale = max(abs(old), abs(new))
+        return (abs(new - old) / scale if math.isfinite(scale) else math.inf), path or "/"
+    else:
+        return math.inf, path or "/"
+    return max(parts, key=lambda part: part[0], default=(0.0, path or "/"))
+
+
+def _describe_change(old, new) -> str:
+    """How an op's dumped output ``new`` differs from ``old``: each is its
+    stdout text or ``{"failed": reason}``."""
+    if isinstance(new, dict):
+        return f"failed: {new['failed']}"
+    if old is None or isinstance(old, dict):
+        return "missing from the dump" if old is None else f"was failed: {old['failed']}"
+    try:
+        rel, path = largest_change(json.loads(old), json.loads(new))
+    except ValueError:
+        return "output is not JSON"
+    return f"{rel:.3g} {path}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, action="append",
                         help=f"benchmark seed, repeatable (default {DEFAULT_SEED} and {HELD_OUT_SEED})")
     parser.add_argument("--workload", action="append", choices=WORKLOADS,
                         help="workload, repeatable (default all)")
+    parser.add_argument("--dump", metavar="FILE", help="also write every op's output to FILE as JSON")
+    parser.add_argument("--against", metavar="FILE",
+                        help="print how each op's output moved from a --dump FILE, in place of the digests")
     args = parser.parse_args(argv)
+    before = None
+    if args.against is not None:
+        with open(args.against, encoding="utf-8") as fh:
+            before = json.load(fh)
 
+    outputs = {}
     for seed in args.seed or (DEFAULT_SEED, HELD_OUT_SEED):
         for workload in args.workload or WORKLOADS:
             pool = workloads.build_pool(workload, seed)
@@ -46,7 +97,16 @@ def main(argv: list[str] | None = None) -> int:
                 paths = pool.write(directory)
                 for op in pool.ops:
                     error, out = call_cli(cli.main, op.argv(paths[op.scenario]))
-                    print(seed, workload, op.name, error or hashlib.sha256(out).hexdigest())
+                    key = f"{seed} {workload} {op.name}"
+                    outputs[key] = {"failed": error} if error else out.decode("utf-8")
+                    if before is None:
+                        print(key, error or hashlib.sha256(out).hexdigest())
+                    elif before.get(key) != outputs[key]:
+                        print(key, _describe_change(before.get(key), outputs[key]))
+    if args.dump is not None:
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            json.dump(outputs, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     return 0
 
 

@@ -67,8 +67,11 @@ def _write(data: bytes | str, path: str | None) -> None:
         return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".enbcds-tmp-")
+    mask = os.umask(0)  # mkstemp makes the file 0600; give it a plain write's mode
+    os.umask(mask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~mask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -223,6 +226,10 @@ def _cmd_sample(args) -> int:
 def _cmd_report(args) -> int:
     sf = _load(args)
     p = sf.portfolio
+    if args.plots is not None:
+        for g in p.gdfs:
+            if os.path.basename(f"{g.id}.svg") != f"{g.id}.svg":
+                raise ValueError(f"gdf {g.id!r}: --plots needs gdf ids that are plain file names")
     spends = _actual_spends(p)
     ctx = EvalContext(p, spends, args.mode)
     optimal = {g.id: optimal_spend(g, context=ctx) for g in p.gdfs}

@@ -39,7 +39,6 @@ from .optimize import AllocationResult, OptimalSpend
 from .sensitivity import (
     Pert,
     Point,
-    QuantityStats,
     SensitivityError,
     SensitivityReport,
     Triangular,
@@ -69,7 +68,6 @@ __all__ = [
     "allocation_to_dict",
     "optimal_to_dict",
     "curve_to_dict",
-    "stats_to_dict",
     "sensitivity_to_dict",
 ]
 
@@ -626,10 +624,6 @@ def allocation_to_dict(result: AllocationResult) -> dict:
         "interior": {k: result.interior[k] for k in sorted(result.interior)},
         "iterations": result.iterations,
     }
-
-
-def stats_to_dict(stats: QuantityStats) -> dict:
-    return asdict(stats)
 
 
 def sensitivity_to_dict(report: SensitivityReport) -> dict:

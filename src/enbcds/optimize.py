@@ -5,10 +5,12 @@ spending more than the zero-spend expected loss ``f(0)`` is always dominated
 (``f(s) >= s``), so the peak lives in ``[0, f(0)]`` and golden-section search
 finds it.  Portfolio: maximize the summed net benefit subject to a shared
 budget.  Without dependency edges the problem is separable and concave, so
-water-filling applies: bisect on the common marginal value ``lam`` and give
-each GDF the spend where its own marginal equals ``lam`` (clamped to ``[0,
-s*]``), found by a tolerance-terminated bracketed root finder (Illinois
-false position), on the analytic marginal ``-1 - sum p * L * g'(s)``.
+water-filling applies: halve a bracket on the common marginal value ``lam``
+100 times, giving each GDF the spend where its own marginal equals ``lam``
+(clamped to ``[0, s*]``), found by a tolerance-terminated bracketed root
+finder (Illinois false position) on the analytic marginal ``-1 - sum p * L *
+g'(s)``, then split the budget between the spends at the two ends of the
+final bracket, which sum to at most and to more than the budget.
 Non-mandatory GDFs whose coupled net benefit is negative at their
 allocated spend are dropped, their budget freed, and the program re-solved
 until the drop set is stable.  With edges the coupled objective is polished
@@ -271,54 +273,34 @@ class AllocationResult:
 
 
 def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
-    """Separable concave allocation by bisection on the shared marginal."""
+    """Separable concave allocation by bisection on the shared marginal.
+
+    Each spend at ``lam`` is one root find on ``[0, peak]``: 0 where the
+    marginal starts at or below ``lam``, the peak where it never falls to it.
+    After 100 halvings the spends at ``hi`` sum to at most the budget and
+    those at ``lo`` to more (or, within rounding of the summed peaks, to a
+    hair less: then ``theta = 1``).  The spends ``theta`` of the way from
+    the first to the second sum to the budget, and fill Table plateaus.
+    """
     marginals = {x.id: _standalone_marginal(x) for x in gdfs}
-    peaks: dict[str, float] = {}
-    for x in gdfs:
-        f0 = expected_cyber_cost(x, 0.0)
-        m = marginals[x.id]
-        if f0 <= 0.0 or m(0.0) <= 0.0:
-            peaks[x.id] = 0.0
-        else:
-            peaks[x.id] = _bisect_decreasing(m, 0.0, f0, 0.0)
-    total_peak = sum(peaks.values())
-    if budget is None or total_peak <= budget:
-        return dict(peaks), 0.0  # slack budget: everyone at their own peak
-    if budget <= 0.0:
-        lam = max(0.0, max(marginals[x.id](0.0) for x in gdfs))
-        return {x.id: 0.0 for x in gdfs}, lam
+    peaks = {x.id: _bisect_decreasing(marginals[x.id], 0.0, expected_cyber_cost(x, 0.0), 0.0) for x in gdfs}
+    if budget is None or sum(peaks.values()) <= budget:
+        return peaks, 0.0  # slack budget: everyone at their own peak
 
-    def spend_at(xid: str, lam: float) -> float:
-        if peaks[xid] <= 0.0 or marginals[xid](0.0) <= lam:
-            return 0.0
-        return _bisect_decreasing(marginals[xid], 0.0, peaks[xid], lam)
+    def spends_at(lam: float) -> dict[str, float]:
+        return {xid: _bisect_decreasing(m, 0.0, peaks[xid], lam) for xid, m in marginals.items()}
 
-    lo, hi = 0.0, max(marginals[x.id](0.0) for x in gdfs)
+    lo, hi = 0.0, max(m(0.0) for m in marginals.values())
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if sum(spend_at(x.id, mid) for x in gdfs) > budget:
+        if sum(spends_at(mid).values()) > budget:
             lo = mid
         else:
             hi = mid
-    lam = hi  # the feasible side of the bracket: these spends sum to <= budget
-    spends = {x.id: spend_at(x.id, lam) for x in gdfs}
-    total = sum(spends.values())
-    if total < budget:
-        # piecewise-linear marginals plateau at lam, so the per-GDF
-        # bisection can stop anywhere on the flat segment and leave budget
-        # unspent; absorb the remainder wherever the marginal still clears
-        # the infeasible side of the bracket
-        leftover = budget - total
-        for x in gdfs:
-            if leftover <= 0.0:
-                break
-            room = spend_at(x.id, lo) - spends[x.id]
-            if room <= 0.0:
-                continue
-            add = min(room, leftover)
-            spends[x.id] += add
-            leftover -= add
-    return spends, lam
+    low, high = spends_at(hi), spends_at(lo)
+    sum_low, sum_high = sum(low.values()), sum(high.values())
+    theta = 1.0 if sum_high <= budget else (budget - sum_low) / (sum_high - sum_low)
+    return {xid: low[xid] + theta * (high[xid] - low[xid]) for xid in low}, hi
 
 
 def _interior(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -223,6 +224,29 @@ class TestCurve:
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".enbcds-tmp-")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+    def test_output_file_mode_follows_the_umask(self, minimal_file, tmp_path, umask, mode):
+        target = tmp_path / "out.txt"
+        previous = os.umask(umask)
+        try:
+            assert main(["validate", minimal_file, "-o", str(target)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(target).st_mode) == mode
+
+    def test_failed_rename_keeps_the_old_output_and_no_temp_file(self, minimal_file, tmp_path, monkeypatch, capfd):
+        target = tmp_path / "out.txt"
+        target.write_bytes(b"before\n")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["validate", minimal_file, "-o", str(target)]) == 1
+        assert "rename refused" in capfd.readouterr().err
+        assert target.read_bytes() == b"before\n"
+        assert [n for n in os.listdir(tmp_path) if n.startswith(".enbcds-tmp-")] == []
+
     def test_svg_format(self, scada_file, capfd):
         assert main(["curve", scada_file, "--gdf", "remote-scada-access",
                      "--samples", "16", "--format", "svg"]) == 0
@@ -349,6 +373,18 @@ class TestReport:
         for name in names:
             content = (plots / name).read_bytes()
             assert content.startswith(b"<?xml")
+
+    @pytest.mark.parametrize("gdf_id", ["../escaped", "{tmp}/escaped"], ids=["relative", "absolute"])
+    def test_plots_refuse_a_gdf_id_that_is_not_a_file_name(self, tmp_path, capfd, gdf_id):
+        gdf_id = gdf_id.format(tmp=tmp_path)
+        doc = json.loads(bundled_scenario_text("wifi-thermostats"))
+        doc["portfolio"]["gdfs"][0]["id"] = gdf_id
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["report", str(path), "--plots", str(tmp_path / "plots"), "-o", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert repr(gdf_id) in capfd.readouterr().err
+        assert os.listdir(tmp_path) == ["s.json"]
 
     def test_json_report_shape(self, comparison_file, capfd):
         assert main(["--json", "report", comparison_file]) == 0

@@ -2,8 +2,11 @@
 
 import csv
 import hashlib
+import json
 import pathlib
 import runpy
+
+import pytest
 
 from enbcds import bundled_scenario, bundled_scenario_names, serialize_scenario
 
@@ -45,6 +48,27 @@ def test_op_digests_prints_one_digest_per_op(capsys):
         assert (seed, workload) == ("1", "alloc-coupled")
         assert op.startswith("cpl-")
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+
+def test_op_digests_dump_and_against_name_the_moved_number(tmp_path, capsys):
+    main, dump = _main("op_digests.py"), tmp_path / "ops.json"
+    argv = ["--workload", "alloc-coupled", "--seed", "1"]
+    assert main(argv + ["--dump", str(dump)]) == 0
+    digests = capsys.readouterr().out.splitlines()
+    outputs = json.loads(dump.read_text())
+    assert sorted(line.rsplit(" ", 1)[0] for line in digests) == sorted(outputs)
+    assert main(argv + ["--against", str(dump)]) == 0
+    assert capsys.readouterr().out == ""
+
+    key = sorted(outputs)[0]
+    doc = json.loads(outputs[key])
+    doc["objective"] *= 1.0 + 1e-9
+    outputs[key] = json.dumps(doc)
+    dump.write_text(json.dumps(outputs))
+    assert main(argv + ["--against", str(dump)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(key + " ") and line.endswith(" /objective")
+    assert float(line.split(" ")[-2]) == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_parse_digests_prints_both_modes_of_every_mutation(capsys):
