@@ -277,10 +277,10 @@ def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
 
     Each spend at ``lam`` is one root find on ``[0, peak]``: 0 where the
     marginal starts at or below ``lam``, the peak where it never falls to it.
-    After 100 halvings the spends at ``hi`` sum to at most the budget and
-    those at ``lo`` to more (or, within rounding of the summed peaks, to a
-    hair less: then ``theta = 1``).  The spends ``theta`` of the way from
-    the first to the second sum to the budget, and fill Table plateaus.
+    The spends at the bracket's upper end ``hi`` sum to at most the budget
+    (at first all 0) and those at its lower end ``lo`` to more (at first the
+    peaks).  After 100 halvings the spends ``theta`` of the way from the
+    first to the second sum to the budget, and fill Table plateaus.
     """
     marginals = {x.id: _standalone_marginal(x) for x in gdfs}
     peaks = {x.id: _bisect_decreasing(marginals[x.id], 0.0, expected_cyber_cost(x, 0.0), 0.0) for x in gdfs}
@@ -291,15 +291,16 @@ def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
         return {xid: _bisect_decreasing(m, 0.0, peaks[xid], lam) for xid, m in marginals.items()}
 
     lo, hi = 0.0, max(m(0.0) for m in marginals.values())
+    low, high = dict.fromkeys(peaks, 0.0), peaks  # the spends at hi and at lo
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if sum(spends_at(mid).values()) > budget:
-            lo = mid
+        spends = spends_at(mid)
+        if sum(spends.values()) > budget:
+            lo, high = mid, spends
         else:
-            hi = mid
-    low, high = spends_at(hi), spends_at(lo)
-    sum_low, sum_high = sum(low.values()), sum(high.values())
-    theta = 1.0 if sum_high <= budget else (budget - sum_low) / (sum_high - sum_low)
+            hi, low = mid, spends
+    sum_low = sum(low.values())
+    theta = (budget - sum_low) / (sum(high.values()) - sum_low)
     return {xid: low[xid] + theta * (high[xid] - low[xid]) for xid in low}, hi
 
 
