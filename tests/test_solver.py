@@ -194,8 +194,8 @@ def test_water_fill_contract_from_zero_budget_to_the_summed_peaks(seed):
         assert spends[NO_ATTACK_GDF.id] == 0.0 and spends[BELOW_ZERO_GDF.id] == 0.0
         assert all(0.0 <= spends[x.id] <= peaks[x.id] for x in gdfs)
 
-    # budgets within rounding of the summed peaks, where the spends at
-    # lam = 0 can sum a hair below the peaks; this seed's share of 0-39
+    # budgets within rounding of the summed peaks, where a fresh root find
+    # at a lam near 0 can land a hair below its peak; this seed's share of 0-39
     for s in range(seed, 40, 6):
         gdfs = random_portfolio(make_rng(s), 5, padded=False).gdfs
         peaks, _ = _water_fill(gdfs, None)
