@@ -361,6 +361,12 @@ class TestEvalContext:
         with pytest.raises(UnknownGdfError):
             enb(stranger, 0.0, EvalContext(portfolio=p))
 
+    @pytest.mark.parametrize("s_max", [None, 100.0, 0.0, -1.0, math.nan])
+    def test_curve_of_gdf_outside_context_portfolio_rejected_first(self, s_max):
+        p = Portfolio(gdfs=(Gdf(id="x"),))
+        with pytest.raises(UnknownGdfError):
+            enbcds_curve(Gdf(id="stranger"), s_max=s_max, context=EvalContext(portfolio=p))
+
     def test_modes_exported(self):
         assert ADDITIVE == "additive"
         assert LITERAL == "literal"

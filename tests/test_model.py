@@ -56,6 +56,21 @@ class TestConstruction:
         with pytest.raises(NegativeMoneyError):
             AttackType(id="a", baseline_prob=0.5, loss=-5.0, breach=Exponential(kappa=1.0))
 
+    def test_breach_that_is_not_a_breach_model_rejected(self):
+        with pytest.raises(ModelError, match="unknown breach model"):
+            AttackType(id="a", baseline_prob=0.5, loss=100.0, breach="gl1")
+
+    def test_parents_of_lists_incoming_edges_in_edge_order(self):
+        edges = (
+            DependencyEdge(source="c", target="d", uplift={}),
+            DependencyEdge(source="a", target="b", uplift={}),
+            DependencyEdge(source="a", target="d", uplift={}),
+        )
+        p = Portfolio(gdfs=tuple(Gdf(id=i) for i in "abcd"), edges=edges)
+        assert p.parents_of("d") == [edges[0], edges[2]]
+        assert p.parents_of("b") == [edges[1]]
+        assert p.parents_of("a") == []
+
     def test_adverse_event_probability_range(self):
         with pytest.raises(ProbabilityOutOfRangeError):
             AdverseEvent(id="e", prob=-0.1, cost=10.0)

@@ -124,6 +124,12 @@ class TestOptimalSpend:
             assert best.value == pytest.approx(oracle_enb(x, best.s_star, "literal"), rel=1e-9)
 
 
+    @pytest.mark.parametrize("upper", [0.0, -1.0, math.inf, math.nan])
+    def test_upper_must_be_finite_and_positive(self, upper):
+        x = random_gdf(make_rng(1), 0)
+        with pytest.raises(ValueError, match="upper must be finite and > 0"):
+            optimal_spend(x, upper=upper)
+
 class TestMandatoryMinLoss:
     def test_rejects_non_mandatory_gdf(self):
         x = Gdf(id="x", ben=10.0, mandatory=False)

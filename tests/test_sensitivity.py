@@ -70,6 +70,9 @@ class TestDistributions:
         assert Triangular(2.0, 2.0, 2.0).sample(rng) == 2.0
         assert Pert(2.0, 2.0, 2.0).sample(rng) == 2.0
 
+    def test_uniform_mean_is_the_midpoint(self):
+        assert Uniform(1.0, 3.0).mean() == 2.0
+
     def test_uniform_bounds_respected(self):
         rng = make_rng(1)
         d = Uniform(-1.0, 4.0)
