@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from .model import Gdf, Portfolio
@@ -68,21 +69,18 @@ class EvalContext:
     upstream compromise probabilities can be computed; a GDF missing from
     the map is treated as unfunded (spend 0).
 
-    The context caches the compromise probability of every GDF, keyed by
-    GDF id and computed at that GDF's spend in ``spends``.  The first
-    evaluation of a GDF with parents fills the whole cache in one pass over
-    the portfolio's topological order, the order :class:`CoupledTotal`
-    walks, so chains of any depth evaluate without recursion and later
-    evaluations only read the cache.  A GDF on or below a dependency cycle,
-    or below an edge source that names no GDF, never enters the cache.  The
-    cache is only valid for these spends: build a fresh context whenever
-    they change.
+    ``_compromise`` is the compromise probability of every GDF at its spend
+    in ``spends``, keyed by GDF id.  The first evaluation of a GDF with
+    parents computes it in one pass over the portfolio's topological order,
+    the order :class:`CoupledTotal` walks, so chains of any depth evaluate
+    without recursion; later evaluations only read it.  A GDF on or below a
+    dependency cycle, or below an edge source that names no GDF, is left
+    out.  A context built by ``dataclasses.replace`` makes its own pass.
     """
 
     portfolio: Portfolio | None = None
     spends: Mapping[str, float] = field(default_factory=dict)
     mode: str = ADDITIVE
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         check_mode(self.mode)
@@ -94,6 +92,16 @@ class EvalContext:
             if known is not None and k not in known:
                 raise UnknownGdfError(f"spend names gdf {k!r} not in the portfolio")
         object.__setattr__(self, "spends", spends)
+
+    @cached_property
+    def _compromise(self) -> dict[str, float]:
+        graph = self.portfolio._graph
+        q: dict[str, float] = {}
+        for gid in graph.order:
+            up = graph.parents.get(gid, ())
+            if gid in graph.gdfs and all(edge.source in q for edge in up):
+                _, q[gid] = _fold_gdf(graph.gdfs[gid], self.spends.get(gid, 0.0), up, q, ADDITIVE)
+        return q
 
 
 def check_mode(mode: str) -> None:
@@ -107,14 +115,6 @@ def _require_spend(s: float) -> float:
     if not math.isfinite(s) or s < 0.0:
         raise ValueError(f"spend must be finite and >= 0, got {s!r}")
     return s
-
-
-def _check_member(x: Gdf, context: EvalContext | None) -> None:
-    if context is not None and context.portfolio is not None:
-        try:
-            context.portfolio.gdf(x.id)
-        except KeyError:
-            raise UnknownGdfError(f"gdf {x.id!r} is not part of the context portfolio")
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +189,20 @@ def _fixed_net(x: Gdf) -> float:
 
 
 def _upstream(x: Gdf, context: EvalContext | None) -> tuple[tuple, dict | None]:
-    """Parent edges of ``x`` in the context portfolio, and the context cache,
-    filled on the first call for a GDF with parents.  An edge source naming
-    no GDF, and every GDF below it, stays out of the cache: the fold raises
-    KeyError for those GDFs, and unrelated GDFs still evaluate."""
+    """Parent edges of ``x`` in the context portfolio and, when it has
+    parents, the context's compromise probabilities.  Raises UnknownGdfError
+    for a GDF outside the portfolio, then CycleDetectedError for one on or
+    below a cycle.  The fold raises KeyError for a GDF below an edge source
+    that names no GDF; unrelated GDFs still evaluate."""
     if context is None or context.portfolio is None:
         return (), None
     graph = context.portfolio._graph
-    q = context._cache
-    parents = graph.parents.get(x.id, ())
+    if x.id not in graph.gdfs:
+        raise UnknownGdfError(f"gdf {x.id!r} is not part of the context portfolio")
     if x.id in graph.cyclic:
         raise CycleDetectedError(f"dependency cycle on or above {x.id!r}")
-    if parents and not q:
-        for gid in graph.order:
-            up = graph.parents.get(gid, ())
-            if gid in graph.gdfs and all(edge.source in q for edge in up):
-                _, q[gid] = _fold_gdf(graph.gdfs[gid], context.spends.get(gid, 0.0), up, q, ADDITIVE)
-    return parents, q
+    parents = graph.parents.get(x.id, ())
+    return parents, context._compromise if parents else None
 
 
 def effective_prob(x: Gdf, attack_id: str, s: float, context: EvalContext | None = None) -> float:
@@ -216,10 +213,8 @@ def effective_prob(x: Gdf, attack_id: str, s: float, context: EvalContext | None
     the uplifted (clamped) probability, independently across parents.
     """
     _require_spend(s)
-    _check_member(x, context)
-    attack = x.attack(attack_id)
     parents, q = _upstream(x, context)
-    return _attack_prob(attack, s, parents, q)
+    return _attack_prob(x.attack(attack_id), s, parents, q)
 
 
 def expected_cyber_cost(x: Gdf, s: float, context: EvalContext | None = None) -> float:
@@ -230,11 +225,8 @@ def expected_cyber_cost(x: Gdf, s: float, context: EvalContext | None = None) ->
     alternative.
     """
     s = _require_spend(s)
-    if context is None:
-        return _fold_gdf(x, s, (), None, ADDITIVE)[0]
-    _check_member(x, context)
     parents, q = _upstream(x, context)
-    return _fold_gdf(x, s, parents, q, context.mode)[0]
+    return _fold_gdf(x, s, parents, q, getattr(context, "mode", ADDITIVE))[0]
 
 
 def enb(x: Gdf, s: float, context: EvalContext | None = None) -> float:
@@ -337,7 +329,7 @@ def enbcds_curve(
     """
     if n_samples < 2:
         raise DegenerateRangeError(f"n_samples must be >= 2, got {n_samples}")
-    _check_member(x, context)
+    _upstream(x, context)  # an unknown GDF fails before a bad window
     if s_max is None:
         f0 = expected_cyber_cost(x, 0.0, context)
         s_max = f0 if f0 > 0.0 else 1.0

@@ -1,9 +1,11 @@
 """Optimal defense spending for one GDF and budget allocation across many.
 
-Single-GDF: the net-benefit curve in additive mode is concave in spend, and
-spending more than the zero-spend expected loss ``f(0)`` is always dominated
-(``f(s) >= s``), so the peak lives in ``[0, f(0)]`` and golden-section search
-finds it.  Portfolio: maximize the summed net benefit subject to a shared
+Single-GDF: spending more than the zero-spend expected loss ``f(0)`` is
+always dominated (``f(s) >= s``), so the peak lives in ``[0, f(0)]``.  One
+path finds it in both evaluation modes: scan a grid, polish the best cell's
+bracket by golden-section search, and keep the best of that point, the grid
+point and both ends.  The additive curve is concave in spend, so its grid is
+the two ends alone.  Portfolio: maximize the summed net benefit subject to a shared
 budget.  Without dependency edges the problem is separable and concave, so
 water-filling applies: halve a bracket on the common marginal value ``lam``
 100 times, giving each GDF the spend where its own marginal equals ``lam``
@@ -22,8 +24,8 @@ and the KKT certificate is tight.  Every slope of the coupled objective
 is one central difference cut to its domain, ``_slope``.
 
 The literal evaluation mode breaks concavity, so the single-GDF solver
-falls back to a dense scan there, and the allocator picks each round's
-spends by a grid search before the same drop rule.
+scans 2001 grid points there, and the allocator picks each round's spends
+by a grid search before the same drop rule.
 """
 from __future__ import annotations
 
@@ -72,9 +74,6 @@ class OptimalSpend(NamedTuple):
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Golden-section maximizer for a unimodal ``fn`` on ``[lo, hi]``."""
     a, b = lo, hi
-    if b - a <= tol:
-        mid = 0.5 * (a + b)
-        return mid, fn(mid)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
@@ -197,12 +196,14 @@ def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | Non
     """Spend maximizing the net benefit of ``x``, with the peak value.
 
     Searches ``[0, upper]`` (default ``upper = f(0)``, which contains the
-    peak by the dominated-spend bound) by golden section to an absolute
-    tolerance of 1e-6 * upper, then lets the exact endpoints win ties so
-    boundary optima come back exact.  In literal mode the curve need not be
-    unimodal, so a dense scan brackets the best region first.
+    peak by the dominated-spend bound) on one path: scan ``n`` evenly spaced
+    points, run golden section to an absolute tolerance of 1e-6 * upper on
+    the two cells around the best of them, and keep the best of both ends,
+    the scanned point and the golden point, so that boundary optima come
+    back exact.  The additive curve has one peak, so ``n = 2`` and the
+    bracket is the whole window; the literal curve need not, so
+    ``n = 2001``.
     """
-    mode = context.mode if context is not None else ADDITIVE
     f0 = expected_cyber_cost(x, 0.0, context)
     if upper is None:
         if f0 <= 0.0:
@@ -216,22 +217,13 @@ def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | Non
     def objective(s: float) -> float:
         return enb(x, s, context)
 
-    tol = 1e-6 * upper
-    if mode == ADDITIVE:
-        s_g, v_g = _golden_max(objective, 0.0, upper, tol)
-    else:
-        n = 2001
-        step = upper / (n - 1)
-        grid = [(i * step, objective(i * step)) for i in range(n)]
-        k = max(range(n), key=lambda i: grid[i][1])
-        lo = grid[max(0, k - 1)][0]
-        hi = grid[min(n - 1, k + 1)][0]
-        s_g, v_g = _golden_max(objective, lo, hi, tol)
-        if grid[k][1] > v_g:
-            s_g, v_g = grid[k]
-    candidates = [(0.0, objective(0.0)), (s_g, v_g), (upper, objective(upper))]
-    s_star, value = max(candidates, key=lambda c: c[1])
-    return OptimalSpend(s_star, value)
+    n = 2 if getattr(context, "mode", ADDITIVE) == ADDITIVE else 2001
+    step = upper / (n - 1)
+    grid = [(i * step, objective(i * step)) for i in range(n)]
+    k = max(range(n), key=lambda i: grid[i][1])
+    golden = _golden_max(objective, grid[max(0, k - 1)][0], grid[min(n - 1, k + 1)][0], 1e-6 * upper)
+    candidates = [grid[0], golden, grid[k], (upper, objective(upper))]
+    return OptimalSpend(*max(candidates, key=lambda c: c[1]))
 
 
 def mandatory_min_loss(x: Gdf, context: EvalContext | None = None) -> float:
@@ -340,10 +332,10 @@ def _refine_with_edges(
     difference, cut to the line) and both ends, and moves to the best only
     if it beats the current objective, so sweeps never lower it.  A spend
     the budget leaves no room to raise by more than the search tolerance
-    gets no move of its own: lowering it is a transfer.  Sweeps stop when one gains at most 1e-9 * scale, unless
-    the relative spread of the interior marginals that the KKT certificate
-    compares is still above 1e-5 and the last stalled sweep at least halved
-    it.
+    gets no move of its own: lowering it is a transfer.  Sweeps stop when
+    one gains at most 1e-9 * scale, unless the relative spread of the
+    interior marginals that the KKT certificate compares is still above
+    1e-5 and the last stalled sweep at least halved it.
     """
     ids = [x.id for x in sub.gdfs]
     f0 = {x.id: expected_cyber_cost(x, 0.0) for x in sub.gdfs}

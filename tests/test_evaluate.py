@@ -1,5 +1,6 @@
 """Net-benefit evaluation: expected cyber cost, ENB, curves, dependencies."""
 
+import dataclasses
 import math
 
 import pytest
@@ -34,6 +35,7 @@ from oracles import (
     make_rng,
     oracle_attack_prob,
     oracle_compromise,
+    oracle_coupled_enb,
     oracle_enb,
     oracle_f,
     random_gdf,
@@ -360,6 +362,25 @@ class TestEvalContext:
         stranger = Gdf(id="stranger")
         with pytest.raises(UnknownGdfError):
             enb(stranger, 0.0, EvalContext(portfolio=p))
+
+    def test_replaced_spends_are_the_ones_evaluated(self):
+        p = random_portfolio(make_rng(3), 3, with_edges=True)
+        sink = p.gdfs[-1]
+        assert p.parents_of(sink.id)
+        ctx = EvalContext(p, dict.fromkeys(p.ids(), 0.0))
+        enb(sink, 100.0, ctx)  # the compromise probabilities at spend 0
+        spends = dict.fromkeys(p.ids(), 5e5)
+        moved = dataclasses.replace(ctx, spends=spends)
+        got = enb(sink, 100.0, moved)
+        assert got == enb(sink, 100.0, EvalContext(p, spends))
+        assert got == pytest.approx(oracle_coupled_enb(p, sink, {**spends, sink.id: 100.0}), rel=1e-12)
+        assert enb(sink, 100.0, ctx) != pytest.approx(got, rel=1e-3)
+
+    def test_only_portfolio_spends_and_mode_are_fields(self):
+        p = Portfolio(gdfs=(Gdf(id="x"),))
+        assert [f.name for f in dataclasses.fields(EvalContext)] == ["portfolio", "spends", "mode"]
+        with pytest.raises(TypeError):
+            EvalContext(p, {"x": 1.0}, ADDITIVE, {})
 
     @pytest.mark.parametrize("s_max", [None, 100.0, 0.0, -1.0, math.nan])
     def test_curve_of_gdf_outside_context_portfolio_rejected_first(self, s_max):
