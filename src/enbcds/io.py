@@ -14,6 +14,7 @@ peak marked and, when known, the actual spending level.
 """
 from __future__ import annotations
 
+import html
 import json
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -130,7 +131,10 @@ def _expect_list(v, path: str) -> list:
 def _expect_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        _fail(path, "number does not fit a double")
 
 
 def _expect_string(v, path: str) -> str:
@@ -386,6 +390,8 @@ def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
         raise ScenarioSyntaxError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}", path=""
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ScenarioSyntaxError(str(exc), path="") from exc
     doc = _expect_dict(doc, "")
     _check_unknown(doc, {"schema_version", "metadata", "portfolio", "uncertainty"}, "", lenient)
     version = _get(doc, "schema_version", "")
@@ -497,7 +503,7 @@ def _curve_svg(curve: EnbcdsCurve, actual_spend: float | None) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400" viewBox="0 0 640 400">',
         '<rect width="640" height="400" fill="white"/>',
-        f'<text x="320" y="20" text-anchor="middle" font-family="sans-serif" font-size="14">{curve.gdf_id}</text>',
+        f'<text x="320" y="20" text-anchor="middle" font-family="sans-serif" font-size="14">{html.escape(curve.gdf_id)}</text>',
         '<line x1="70" y1="30" x2="70" y2="355" stroke="black" stroke-width="1"/>',
         '<line x1="70" y1="355" x2="620" y2="355" stroke="black" stroke-width="1"/>',
         f'<line x1="70" y1="{zero_y:.2f}" x2="620" y2="{zero_y:.2f}" stroke="gray" stroke-width="0.5" stroke-dasharray="4,3"/>',

@@ -172,6 +172,16 @@ class TestValidate:
             assert main(["--lenient", "validate", str(path)]) == 0
         assert capfd.readouterr().out == "OK\n"
 
+    def test_number_too_large_for_a_double_names_its_path(self, tmp_path, capfd):
+        doc = json.loads(bundled_scenario_text("wifi-thermostats"))
+        doc["portfolio"]["gdfs"][0]["ben"] = 10**400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith("error: /portfolio/gdfs/0/ben: ")
+        assert "Traceback" not in err
+
 
 class TestEvaluate:
     def test_no_attack_gdf_prints_ben_minus_costs(self, minimal_file, capfd):

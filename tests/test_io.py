@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -105,6 +106,25 @@ def set_at(doc, pointer: str, value) -> None:
     for token in head:
         doc = doc[int(token)] if isinstance(doc, list) else doc[token]
     doc[int(last) if isinstance(doc, list) else last] = value
+
+
+def number_leaves(node, path=""):
+    """JSON pointer of every number below ``node``, booleans excepted."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        if isinstance(child, (int, float)) and not isinstance(child, bool):
+            yield f"{path}/{key}"
+        else:
+            yield from number_leaves(child, f"{path}/{key}")
+
+
+def huge_number_documents():
+    """Documents with a budget, breaches of every family, uplifts and
+    uncertain parameters, to put a number too large for a double in."""
+    scada = json.loads(bundled_scenario_text("remote-scada"))
+    scada["portfolio"]["budget"] = 1000.0
+    coupled = random_portfolio(make_rng(3), 3, with_edges=True)
+    return [scada, json.loads(EVERY_VARIANT), {"schema_version": 1, "portfolio": portfolio_to_dict(coupled)}]
 
 
 class TestParseScenario:
@@ -370,6 +390,24 @@ class TestParseScenario:
         assert sf.notes == "hand-built"
 
 
+class TestHugeNumbers:
+    def test_every_number_leaf_fails_at_its_path(self):
+        cases = [(doc, leaf) for doc in huge_number_documents() for leaf in number_leaves(doc)]
+        for part in ("/budget", "/uplift/", "/knots/", "/breach/alpha", "/breach/kappa", "/distribution/"):
+            assert any(part in leaf for _, leaf in cases)
+        for doc, leaf in cases:
+            mutated = json.loads(json.dumps(doc))
+            set_at(mutated, leaf, 10**400)
+            with pytest.raises(SchemaError) as caught:
+                parse_scenario(json.dumps(mutated))
+            assert caught.value.path == leaf
+
+    def test_integer_past_the_digit_limit_is_a_syntax_error(self):
+        text = MINIMAL.replace('"ben": 100.0', '"ben": 1' + "0" * 5000)
+        with pytest.raises(ScenarioSyntaxError):
+            parse_scenario(text)
+
+
 class TestShippedScenarios:
     def test_four_scenarios_ship(self):
         assert set(bundled_scenario_names()) == {
@@ -489,6 +527,12 @@ class TestEmitCurveSvg:
     def test_actual_spend_outside_window_is_omitted(self):
         svg = emit_curve(flat_curve(), format="svg", actual_spend=99.0).decode("utf-8")
         assert 'class="actual-marker"' not in svg
+
+    def test_gdf_id_is_escaped_in_the_title(self):
+        gid = """a<b&c"d'e"""
+        x = dataclasses.replace(bundled_scenario("wifi-thermostats").portfolio.gdfs[0], id=gid)
+        root = ET.fromstring(emit_curve(enbcds_curve(x, n_samples=20), format="svg"))
+        assert root.find("{http://www.w3.org/2000/svg}text").text == gid
 
 
 class TestEmitReport:
