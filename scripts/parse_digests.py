@@ -4,10 +4,11 @@
 The corpus is the bundled scenarios, 12 seeded coupled random portfolios
 and the ``sample-mc`` benchmark pool, each written by the benchmark's own
 serializer (``perfbench/workloads.py``), plus every one-step mutation of
-each: a node replaced by ``"x"``, -1, 2, null, ``[]``, ``{}``, true, 0.5
-or 0; a key deleted; an unknown key added; or a key deleted and an unknown
-key added.  Each document is parsed strict and lenient, and one line is
-printed per parse: ``doc-id mode sha256``.  The hash covers the outcome:
+each: a node replaced by ``"x"``, -1, 2, null, ``[]``, ``{}``, true, 0.5,
+0 or 2**1024 (an integer too large for a double); a key deleted; an
+unknown key added; or a key deleted and an unknown key added.  Each
+document is parsed strict and lenient, and one line is printed per parse:
+``doc-id mode sha256``.  The hash covers the outcome:
 the canonical text of the parsed scenario, or the error's class, message
 and ``path``, plus every warning raised.  Run it on two checkouts and diff
 the output to show that a change to the reader or the canonical writer
@@ -36,7 +37,7 @@ from enbcds import bundled_scenario_names, bundled_scenario_text, parse_scenario
 from harness import DEFAULT_SEED  # noqa: E402
 from oracles import make_rng, random_portfolio  # noqa: E402
 
-REPLACEMENTS = ("x", -1, 2, None, [], {}, True, 0.5, 0)
+REPLACEMENTS = ("x", -1, 2, None, [], {}, True, 0.5, 0, 2**1024)
 UNKNOWN = "zz-unknown"
 
 
