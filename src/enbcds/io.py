@@ -14,7 +14,6 @@ peak marked and, when known, the actual spending level.
 """
 from __future__ import annotations
 
-import html
 import json
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -489,6 +488,8 @@ def _svg_y(v: float, v_lo: float, v_hi: float) -> float:
 
 
 def _curve_svg(curve: EnbcdsCurve, actual_spend: float | None) -> str:
+    import html  # local import: it loads an entity table that only SVG output needs
+
     spends, values = curve.spends, curve.values
     s_lo, s_hi = min(spends), max(spends)
     v_lo = min(min(values), 0.0)
