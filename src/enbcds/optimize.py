@@ -5,8 +5,10 @@ always dominated (``f(s) >= s``), so the peak lives in ``[0, f(0)]``.  One
 path finds it in both evaluation modes: scan a grid, polish the best cell's
 bracket by golden-section search, and keep the best of that point, the grid
 point and both ends.  The additive curve is concave in spend, so its grid is
-the two ends alone.  Portfolio: maximize the summed net benefit subject to a shared
-budget.  Without dependency edges the problem is separable and concave, so
+the two ends alone.
+
+Portfolio: maximize the summed net benefit subject to a shared budget.
+Without dependency edges the problem is separable and concave, so
 water-filling applies: halve a bracket on the common marginal value ``lam``
 100 times, giving each GDF the spend where its own marginal equals ``lam``
 (clamped to ``[0, s*]``), found by a tolerance-terminated bracketed root
@@ -196,13 +198,11 @@ def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | Non
     """Spend maximizing the net benefit of ``x``, with the peak value.
 
     Searches ``[0, upper]`` (default ``upper = f(0)``, which contains the
-    peak by the dominated-spend bound) on one path: scan ``n`` evenly spaced
-    points, run golden section to an absolute tolerance of 1e-6 * upper on
-    the two cells around the best of them, and keep the best of both ends,
-    the scanned point and the golden point, so that boundary optima come
-    back exact.  The additive curve has one peak, so ``n = 2`` and the
-    bracket is the whole window; the literal curve need not, so
-    ``n = 2001``.
+    peak by the dominated-spend bound): scan ``n`` evenly spaced points,
+    golden-section search the two cells around the best to an absolute
+    tolerance of 1e-6 * upper, and keep the best of both ends, the scanned
+    point and the golden point, so boundary optima come back exact.  ``n``
+    is 2 for the one-peaked additive curve and 2001 in literal mode.
     """
     f0 = expected_cyber_cost(x, 0.0, context)
     if upper is None:
