@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -15,6 +16,7 @@ from enbcds import (
     enb,
     optimal_spend,
     parse_curve_csv,
+    sample,
 )
 from enbcds.cli import main
 from enbcds.io import ScenarioFile, serialize_scenario
@@ -354,6 +356,13 @@ class TestSample:
         assert payload["draws"] == 8
         assert payload["param_stats"]
         assert payload["allocation_objective"] is not None
+
+    def test_json_output_is_the_report_as_a_dict(self, scada_file, capfd):
+        assert main(["--json", "sample", scada_file, "--draws", "8", "--seed", "3"]) == 0
+        payload = json.loads(capfd.readouterr().out)
+        sc = bundled_scenario("remote-scada")
+        report = sample(sc.portfolio, sc.uncertainty, draws=8, seed=3)
+        assert payload == json.loads(json.dumps(dataclasses.asdict(report)))
 
     def test_threads_flag_does_not_change_output(self, scada_file, capfd):
         base = ["sample", scada_file, "--draws", "12", "--seed", "9"]

@@ -389,6 +389,35 @@ class TestParseScenario:
         assert sf.title == "case"
         assert sf.notes == "hand-built"
 
+    @pytest.mark.parametrize(
+        "pointer, value, path, message",
+        [
+            ("/portfolio", [], "/portfolio", "expected an object, got list"),
+            ("/portfolio/gdfs", {}, "/portfolio/gdfs", "expected an array, got dict"),
+            ("/portfolio/gdfs/0/id", 5, "/portfolio/gdfs/0/id", "expected a string, got int"),
+            ("/portfolio/gdfs/0/mandatory", 1, "/portfolio/gdfs/0/mandatory", "expected true/false, got int"),
+        ],
+        ids=["object", "array", "string", "bool"],
+    )
+    def test_type_readers_name_the_expected_type_and_the_path(self, pointer, value, path, message):
+        doc = minimal_doc()
+        set_at(doc, pointer, value)
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(json.dumps(doc))
+        assert type(err.value) is SchemaError
+        assert str(err.value) == f"{path}: {message}"
+        assert err.value.path == path
+
+    def test_error_classes_carry_a_path_and_stay_apart(self):
+        assert issubclass(SchemaError, ValueError) and issubclass(ValidationError, ValueError)
+        assert not issubclass(SchemaError, ValidationError)
+        assert not issubclass(ValidationError, SchemaError)
+        assert issubclass(ScenarioSyntaxError, SchemaError)
+        for cls in (SchemaError, ScenarioSyntaxError, ValidationError):
+            assert cls("boom").path == ""
+            err = cls("boom", path="/x")
+            assert (str(err), err.path) == ("boom", "/x")
+
 
 class TestHugeNumbers:
     def test_every_number_leaf_fails_at_its_path(self):
