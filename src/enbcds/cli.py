@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 from .evaluate import (
     ADDITIVE,
@@ -23,15 +24,7 @@ from .evaluate import (
     enb,
     enbcds_curve,
 )
-from .io import (
-    allocation_to_dict,
-    curve_to_dict,
-    emit_curve,
-    emit_report,
-    optimal_to_dict,
-    parse_scenario,
-    sensitivity_to_dict,
-)
+from .io import allocation_to_dict, curve_to_dict, emit_curve, emit_report, parse_scenario
 from .model import Portfolio
 from .optimize import OptimizationError, allocate, marginal_spread, optimal_spend
 from .sensitivity import SensitivityError, sample
@@ -83,7 +76,8 @@ def _write(data: bytes | str, path: str | None) -> None:
 
 
 def _emit_json(obj, path: str | None) -> None:
-    _write(json.dumps(obj, indent=2) + "\n", path)
+    # NaN and Infinity are not JSON: such a result fails (ValueError) before anything is written
+    _write(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
 
 
 def _cmd_validate(args) -> int:
@@ -127,7 +121,7 @@ def _cmd_optimize(args) -> int:
     ctx = EvalContext(sf.portfolio, _actual_spends(sf.portfolio), args.mode)
     best = optimal_spend(g, context=ctx)
     if args.json:
-        _emit_json({"gdf": g.id, **optimal_to_dict(best)}, args.output)
+        _emit_json({"gdf": g.id, **best._asdict()}, args.output)
     else:
         _write(f"gdf {g.id}: s_star = {best.s_star}\nvalue at s_star = {best.value}\n", args.output)
     return 0
@@ -190,7 +184,7 @@ def _cmd_sample(args) -> int:
         threads=args.threads,
     )
     if args.json:
-        _emit_json(sensitivity_to_dict(report), args.output)
+        _emit_json(asdict(report), args.output)
         return 0
     lines = [f"draws = {report.draws}, seed = {report.seed}"]
 
@@ -249,7 +243,7 @@ def _cmd_report(args) -> int:
                 g.id: {
                     "actual_spend": g.actual_spend,
                     "value_at_actual": values_at_actual[g.id],
-                    **optimal_to_dict(optimal[g.id]),
+                    **optimal[g.id]._asdict(),
                 }
                 for g in p.gdfs
             },
@@ -272,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, mode=True, output=True):
+    def common(sp, mode=True):
         sp.add_argument("scenario", help="path to a scenario JSON file")
         if mode:
             sp.add_argument(
@@ -281,8 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 default=ADDITIVE,
                 help="how defense spend enters the expected cyber cost",
             )
-        if output:
-            sp.add_argument("-o", "--output", default=None, help="write output to a file (atomic)")
+        sp.add_argument("-o", "--output", default=None, help="write output to a file (atomic)")
 
     sp = sub.add_parser("validate", help="check a scenario file")
     common(sp, mode=False)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -40,7 +40,6 @@ from .sensitivity import (
     Pert,
     Point,
     SensitivityError,
-    SensitivityReport,
     Triangular,
     UncertainParam,
     Uniform,
@@ -66,32 +65,30 @@ __all__ = [
     "bundled_scenario_text",
     "bundled_scenario",
     "allocation_to_dict",
-    "optimal_to_dict",
     "curve_to_dict",
-    "sensitivity_to_dict",
 ]
 
 SCHEMA_VERSION = 1
 
 
-class SchemaError(ValueError):
-    """Document does not match the scenario schema; ``path`` names where."""
+class _PathError(ValueError):
+    """A fault in a document; ``path`` is the JSON pointer of where."""
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(message)
         self.path = path
+
+
+class SchemaError(_PathError):
+    """Document does not match the scenario schema."""
 
 
 class ScenarioSyntaxError(SchemaError):
     """Document is not even well-formed JSON."""
 
 
-class ValidationError(ValueError):
+class ValidationError(_PathError):
     """Schema-shaped document whose values violate domain rules."""
-
-    def __init__(self, message: str, path: str = ""):
-        super().__init__(message)
-        self.path = path
 
 
 class EmptyCurveError(ValueError):
@@ -115,16 +112,22 @@ def _fail(path: str, message: str) -> None:
     raise SchemaError(f"{path or '/'}: {message}", path=path)
 
 
-def _expect_dict(v, path: str) -> dict:
-    if not isinstance(v, dict):
-        _fail(path, f"expected an object, got {type(v).__name__}")
-    return v
+def _expect(kind: type, what: str) -> Callable:
+    """Reader ``(value, path)`` that passes a ``kind`` through and fails on
+    anything else, naming ``what`` it expected."""
+
+    def read(v, path: str):
+        if not isinstance(v, kind):
+            _fail(path, f"expected {what}, got {type(v).__name__}")
+        return v
+
+    return read
 
 
-def _expect_list(v, path: str) -> list:
-    if not isinstance(v, list):
-        _fail(path, f"expected an array, got {type(v).__name__}")
-    return v
+_expect_dict = _expect(dict, "an object")
+_expect_list = _expect(list, "an array")
+_expect_string = _expect(str, "a string")
+_expect_bool = _expect(bool, "true/false")
 
 
 def _expect_number(v, path: str) -> float:
@@ -134,18 +137,6 @@ def _expect_number(v, path: str) -> float:
         return float(v)
     except OverflowError:
         _fail(path, "number does not fit a double")
-
-
-def _expect_string(v, path: str) -> str:
-    if not isinstance(v, str):
-        _fail(path, f"expected a string, got {type(v).__name__}")
-    return v
-
-
-def _expect_bool(v, path: str) -> bool:
-    if not isinstance(v, bool):
-        _fail(path, f"expected true/false, got {type(v).__name__}")
-    return v
 
 
 def _get(obj: dict, key: str, path: str):
@@ -605,10 +596,6 @@ def bundled_scenario(name: str) -> ScenarioFile:
     return parse_scenario(bundled_scenario_text(name))
 
 
-def optimal_to_dict(best: OptimalSpend) -> dict:
-    return best._asdict()
-
-
 def curve_to_dict(curve: EnbcdsCurve) -> dict:
     return {
         "gdf": curve.gdf_id,
@@ -631,7 +618,3 @@ def allocation_to_dict(result: AllocationResult) -> dict:
         "interior": {k: result.interior[k] for k in sorted(result.interior)},
         "iterations": result.iterations,
     }
-
-
-def sensitivity_to_dict(report: SensitivityReport) -> dict:
-    return asdict(report)

@@ -128,10 +128,12 @@ class GordonLoebI:
     beta: float = 1.0
 
     def __post_init__(self):
-        _require_positive(self.alpha, "GordonLoebI.alpha")
+        alpha = _require_positive(self.alpha, "GordonLoebI.alpha")
         beta = float(self.beta)
         if not math.isfinite(beta) or beta < 1.0:
             raise ModelError(f"GordonLoebI.beta must be >= 1, got {beta!r}")
+        if not math.isfinite(alpha * beta):  # the slope at 0
+            raise ModelError(f"GordonLoebI.alpha * beta must be finite, got {alpha!r} * {beta!r}")
 
     def multiplier(self, s: float, baseline: float | None = None) -> float:
         return (self.alpha * s + 1.0) ** -self.beta
@@ -262,11 +264,17 @@ class AttackType:
         object.__setattr__(self, "loss", _require_money(self.loss, f"attack {self.id!r} loss"))
         if not isinstance(self.breach, _BREACH_TYPES):
             raise ModelError(f"attack {self.id!r} has unknown breach model {self.breach!r}")
-        if isinstance(self.breach, GordonLoebII) and not 0.0 < self.baseline_prob < 1.0:
-            raise ModelError(
-                f"attack {self.id!r}: GordonLoebII requires baseline_prob strictly "
-                f"inside (0, 1), got {self.baseline_prob!r}"
-            )
+        if isinstance(self.breach, GordonLoebII):
+            if not 0.0 < self.baseline_prob < 1.0:
+                raise ModelError(
+                    f"attack {self.id!r}: GordonLoebII requires baseline_prob strictly "
+                    f"inside (0, 1), got {self.baseline_prob!r}"
+                )
+            if not math.isfinite(self.breach.alpha * math.log(self.baseline_prob)):  # the slope at 0
+                raise ModelError(
+                    f"attack {self.id!r}: GordonLoebII alpha * log(baseline_prob) must be finite, "
+                    f"got {self.breach.alpha!r} * log({self.baseline_prob!r})"
+                )
 
 
 @dataclass(frozen=True)

@@ -282,7 +282,8 @@ def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
     def spends_at(lam: float) -> dict[str, float]:
         return {xid: _bisect_decreasing(m, 0.0, peaks[xid], lam) for xid, m in marginals.items()}
 
-    lo, hi = 0.0, max(m(0.0) for m in marginals.values())
+    # a zero-spend marginal can overflow to inf, and halving an infinite bracket gives nan
+    lo, hi = 0.0, max(filter(math.isfinite, (m(0.0) for m in marginals.values())), default=0.0)
     low, high = dict.fromkeys(peaks, 0.0), peaks  # the spends at hi and at lo
     for _ in range(100):
         mid = 0.5 * (lo + hi)

@@ -364,6 +364,22 @@ class TestSample:
         report = sample(sc.portfolio, sc.uncertainty, draws=8, seed=3)
         assert payload == json.loads(json.dumps(dataclasses.asdict(report)))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_json_refuses_a_non_finite_result(self, tmp_path, capfd):
+        # a loss of 1e300 makes the spread of the sampled net benefit overflow
+        doc = json.loads(bundled_scenario_text("three-gdfs-comparison"))
+        doc["portfolio"]["gdfs"][2]["attacks"][0]["loss"] = 1e300
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args = ["--json", "sample", str(path), "--draws", "16", "--seed", "0"]
+        assert main(args) == 1
+        assert capfd.readouterr().out == ""
+        assert main(args + ["-o", str(tmp_path / "out.json")]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert os.listdir(tmp_path) == ["s.json"]
+
     def test_threads_flag_does_not_change_output(self, scada_file, capfd):
         base = ["sample", scada_file, "--draws", "12", "--seed", "9"]
         assert main(base) == 0

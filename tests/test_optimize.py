@@ -1,6 +1,7 @@
 """Per-GDF spend optimization and portfolio budget allocation."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -19,12 +20,16 @@ from enbcds import (
     GordonLoebI,
     NotMandatoryError,
     Portfolio,
+    ValidationError,
     allocate,
     bundled_scenario,
+    bundled_scenario_names,
+    bundled_scenario_text,
     enb,
     enbcds_curve,
     mandatory_min_loss,
     optimal_spend,
+    parse_scenario,
     restrict_portfolio,
 )
 
@@ -440,3 +445,31 @@ class TestAllocate:
         best = optimal_spend(x)
         assert curve.s_star == pytest.approx(best.s_star, rel=1e-9, abs=1e-9)
         assert curve.peak_value == pytest.approx(best.value, rel=1e-12)
+
+
+def extreme_breach_documents():
+    """Every number of every breach in the bundled scenarios set, one at a
+    time, to a value whose slope at 0 or along the spend can overflow."""
+    for name in bundled_scenario_names():
+        doc = json.loads(bundled_scenario_text(name))
+        for i, g in enumerate(doc["portfolio"]["gdfs"]):
+            for j, attack in enumerate(g.get("attacks", [])):
+                where, breach = f"/portfolio/gdfs/{i}/attacks/{j}", attack["breach"]
+                for key in sorted(set(breach) - {"family"}):
+                    old = breach[key]
+                    for value in (1e300, 1e-300, 1e308, 1.7976931348623157e308, 5e-324):
+                        breach[key] = value
+                        yield pytest.param(json.dumps(doc), where, id=f"{name}{where}/breach/{key}={value!r}")
+                    breach[key] = old
+
+
+@pytest.mark.parametrize("text, attack", extreme_breach_documents())
+def test_extreme_breach_parameters_fail_at_their_path_or_allocate_finitely(text, attack):
+    try:
+        sf = parse_scenario(text)
+    except ValidationError as exc:
+        assert exc.path in (attack, f"{attack}/breach")
+        return
+    r = allocate(sf.portfolio)
+    numbers = [*r.spends.values(), r.objective, *r.marginal_at_solution.values()]
+    assert all(math.isfinite(v) for v in numbers), r
