@@ -16,6 +16,9 @@ the largest relative change of any number in its JSON output and the JSON
 path where it occurs (``inf`` where the two differ in shape or in a value
 that is not a number), or the failure.
 
+Exits 1 when any op fails, so that a run can gate on it; output that
+merely moved still exits 0.
+
 Usage:
     python3 scripts/op_digests.py
     python3 scripts/op_digests.py --workload alloc-coupled --seed 1
@@ -90,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
             before = json.load(fh)
 
     outputs = {}
+    failed = False
     for seed in args.seed or (DEFAULT_SEED, HELD_OUT_SEED):
         for workload in args.workload or WORKLOADS:
             pool = workloads.build_pool(workload, seed)
@@ -98,6 +102,7 @@ def main(argv: list[str] | None = None) -> int:
                 for op in pool.ops:
                     error, out = call_cli(cli.main, op.argv(paths[op.scenario]))
                     key = f"{seed} {workload} {op.name}"
+                    failed = failed or error is not None
                     outputs[key] = {"failed": error} if error else out.decode("utf-8")
                     if before is None:
                         print(key, error or hashlib.sha256(out).hexdigest())
@@ -107,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.dump, "w", encoding="utf-8") as fh:
             json.dump(outputs, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

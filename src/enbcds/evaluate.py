@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .model import Gdf, Portfolio
 
@@ -205,6 +205,17 @@ def _upstream(x: Gdf, context: EvalContext | None) -> tuple[tuple, dict | None]:
     return parents, context._compromise if parents else None
 
 
+def _net_curve(x: Gdf, context: EvalContext | None) -> Callable[[float], float]:
+    """``s -> enb(x, s, context)`` for spends already known to be finite and
+    >= 0.  The spend-independent part and the upstream lookup are done once
+    here, so a scan over many spends pays only the fold per point; raises
+    what :func:`_upstream` raises."""
+    fixed = _fixed_net(x)
+    parents, q = _upstream(x, context)
+    mode = getattr(context, "mode", ADDITIVE)
+    return lambda s: fixed - _fold_gdf(x, s, parents, q, mode)[0]
+
+
 def effective_prob(x: Gdf, attack_id: str, s: float, context: EvalContext | None = None) -> float:
     """Success probability of ``attack_id`` against ``x`` at spend ``s``.
 
@@ -236,7 +247,8 @@ def enb(x: Gdf, s: float, context: EvalContext | None = None) -> float:
     (spend-independent), minus :func:`expected_cyber_cost`.  Negative values
     mean the functionality is an expected loss at that spending level.
     """
-    return _fixed_net(x) - expected_cyber_cost(x, s, context)
+    s = _require_spend(s)
+    return _net_curve(x, context)(s)
 
 
 class CoupledTotal:

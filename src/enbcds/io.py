@@ -15,6 +15,7 @@ peak marked and, when known, the actual spending level.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
@@ -134,9 +135,12 @@ def _expect_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
     try:
-        return float(v)
+        f = float(v)
     except OverflowError:
         _fail(path, "number does not fit a double")
+    if not math.isfinite(f):  # 1e400 reads as inf; Infinity and NaN are JSON extensions
+        _fail(path, f"expected a finite number, got {f!r}")
+    return f
 
 
 def _get(obj: dict, key: str, path: str):

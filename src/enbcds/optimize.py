@@ -27,7 +27,9 @@ is one central difference cut to its domain, ``_slope``.
 
 The literal evaluation mode breaks concavity, so the single-GDF solver
 scans 2001 grid points there, and the allocator picks each round's spends
-by a grid search before the same drop rule.
+by a grid search before the same drop rule: the max-plus knapsack
+recursion over 512 budget cells, one numpy sweep per GDF over the cell
+offsets in ascending order, where a tie goes to the smaller spend.
 """
 from __future__ import annotations
 
@@ -36,7 +38,9 @@ from dataclasses import dataclass
 from statistics import median
 from typing import Callable, NamedTuple
 
-from .evaluate import ADDITIVE, CoupledTotal, EvalContext, check_mode, enb, expected_cyber_cost
+import numpy as np
+
+from .evaluate import ADDITIVE, CoupledTotal, EvalContext, _net_curve, check_mode, enb, expected_cyber_cost
 from .model import Gdf, Portfolio, restrict_portfolio
 
 __all__ = [
@@ -208,15 +212,15 @@ def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | Non
     if upper is None:
         if f0 <= 0.0:
             return OptimalSpend(0.0, enb(x, 0.0, context))
+        if not math.isfinite(f0):
+            raise ValueError(f"expected loss of {x.id!r} at spend 0 must be finite, got {f0!r}")
         upper = f0
     else:
         upper = float(upper)
         if not math.isfinite(upper) or upper <= 0.0:
             raise ValueError(f"upper must be finite and > 0, got {upper!r}")
 
-    def objective(s: float) -> float:
-        return enb(x, s, context)
-
+    objective = _net_curve(x, context)
     n = 2 if getattr(context, "mode", ADDITIVE) == ADDITIVE else 2001
     step = upper / (n - 1)
     grid = [(i * step, objective(i * step)) for i in range(n)]
@@ -396,11 +400,17 @@ def _refine_with_edges(
 def _grid_spends(gdfs, budget: float | None, mode: str) -> tuple[dict[str, float], set[str]]:
     """Spends by grid search, for the non-concave literal mode.
 
-    A dynamic program over ``_GRID_STEPS`` budget cells picks one cell per
-    GDF from value tables built standalone (dependency coupling ignored), or
-    skips a non-mandatory GDF when leaving it out is worth strictly more.
-    Without a budget each GDF's only cell is its own peak; at zero budget it
-    is spend 0.  Returns the spends of the deployed GDFs and the skipped ids.
+    A max-plus dynamic program over ``_GRID_STEPS`` budget cells picks one
+    cell per GDF from value tables built standalone (dependency coupling
+    ignored), or skips a non-mandatory GDF when leaving it out is worth
+    strictly more.  ``dp[b]`` is the best total so far using at most ``b``
+    cells.  Each GDF's step sweeps the cell offset ``k`` in ascending order,
+    one vector over every ``b >= k``: ``dp[b - k] + table[k]`` replaces the
+    best only where it is strictly greater, so each ``b`` keeps the smallest
+    ``k`` among equal values and a NaN never wins.  Working memory is a few
+    vectors of ``cells + 1``.  Without a budget each GDF's only cell is its
+    own peak; at zero budget it is spend 0.  Returns the spends of the
+    deployed GDFs and the skipped ids.
     """
     ctx = EvalContext(mode=mode)
     if budget is None:
@@ -409,31 +419,31 @@ def _grid_spends(gdfs, budget: float | None, mode: str) -> tuple[dict[str, float
         cells = _GRID_STEPS if budget > 0.0 else 0
         delta = budget / _GRID_STEPS
         grids = [[k * delta for k in range(cells + 1)]] * len(gdfs)
-    neg_inf = float("-inf")
-    # dp[b] = best total value over a prefix of GDFs using at most b cells
-    dp = [0.0] * (cells + 1)
-    choices: list[list[int]] = []
+    size = cells + 1
+    dp = np.zeros(size)
+    choices: list[np.ndarray] = []
     for x, grid in zip(gdfs, grids):
-        table = [enb(x, s, ctx) for s in grid]
-        new = [neg_inf] * (cells + 1)
-        choice = [0] * (cells + 1)
-        for b in range(cells + 1):
-            best_v, best_k = neg_inf, 0
-            for k in range(b + 1):
-                v = dp[b - k] + table[k]
-                if v > best_v:
-                    best_v, best_k = v, k
-            if not x.mandatory and dp[b] > best_v:
-                best_v, best_k = dp[b], -1  # skip: do not deploy at all
-            new[b] = best_v
-            choice[b] = best_k
-        dp = new
+        net = _net_curve(x, ctx)
+        table = [net(s) for s in grid]
+        best = np.full(size, -np.inf)
+        choice = np.zeros(size, dtype=np.intp)
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats: inf and NaN, no warning
+            for k in range(size):
+                v = dp[: size - k] + table[k]
+                better = v > best[k:]
+                np.copyto(best[k:], v, where=better)
+                np.copyto(choice[k:], k, where=better)
+        if not x.mandatory:
+            skip = dp > best  # skip: do not deploy at all
+            np.copyto(best, dp, where=skip)
+            np.copyto(choice, -1, where=skip)
+        dp = best
         choices.append(choice)
     spends: dict[str, float] = {}
     skipped: set[str] = set()
     b = cells
     for x, grid, choice in zip(reversed(gdfs), reversed(grids), reversed(choices)):
-        k = choice[b]
+        k = int(choice[b])
         if k < 0:
             skipped.add(x.id)
         else:

@@ -218,14 +218,13 @@ def _stats(values: np.ndarray) -> QuantityStats:
         # constant sample: report the exact value, immune to accumulator
         # rounding inside np.mean, so degenerate draws stay bit-exact
         return QuantityStats(mean=vmin, std=0.0, p5=vmin, p50=vmin, p95=vmin)
-    p5, p50, p95 = np.percentile(values, [5.0, 50.0, 95.0])
-    return QuantityStats(
-        mean=float(np.mean(values)),
-        std=float(np.std(values)),
-        p5=float(p5),
-        p50=float(p50),
-        p95=float(p95),
-    )
+    # computed on the values over a power of two near the largest magnitude,
+    # so that sums and squares of finite draws stay finite; scaling by a
+    # power of two is exact, so ordinary samples give the same bits
+    _, e = math.frexp(max(abs(vmin), abs(vmax)))
+    scaled = np.ldexp(values, -e)
+    stats = np.mean(scaled), np.std(scaled), *np.percentile(scaled, [5.0, 50.0, 95.0])
+    return QuantityStats(*(math.ldexp(float(v), e) for v in stats))
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,7 @@ def sample(
     targets drawn into the broken part.  ``threads`` is accepted for
     compatibility and changes nothing: draws always run in one thread.
     """
-    from .io import ValidationError, portfolio_from_dict, portfolio_to_dict  # deferred: io imports this module
+    from .io import SchemaError, ValidationError, portfolio_from_dict, portfolio_to_dict  # deferred: io imports this module
 
     draws = int(draws)
     if draws < 1:
@@ -331,10 +330,11 @@ def sample(
             continue
         try:
             drawn = portfolio_from_dict(doc["portfolio"])
-        except ValidationError as exc:
-            # name the drawn targets inside the part of the portfolio that failed
+        except (SchemaError, ValidationError) as exc:
+            # name the drawn targets at or inside the part of the portfolio
+            # that failed: a non-finite draw fails at its own field
             where = exc.path + "/"
-            targets = [p.target for p in params if p.target.startswith(where)]
+            targets = [p.target for p in params if (p.target + "/").startswith(where)]
             raise SensitivityError(
                 f"draw {i}, target {', '.join(targets or (p.target for p in params))}: {exc}"
             ) from exc

@@ -233,6 +233,43 @@ def grid_allocate(p: Portfolio, budget: float | None, points: int = 50, mode: st
     return spends, float(value[idx])
 
 
+def literal_grid_allocate(gdfs, budget: float, cells: int = 512):
+    """Literal-mode grid allocation by a plain max-plus recursion.
+
+    Tabulates each GDF's standalone ``oracle_enb`` on ``cells + 1`` evenly
+    spaced spends of ``[0, budget]`` and, GDF by GDF, takes for every cell
+    count ``b`` the first best split ``best[b - k] + table[k]``; a
+    non-mandatory GDF is skipped where its predecessors alone are worth
+    strictly more.  Returns the best total, the skipped ids and the spends
+    of the deployed GDFs.
+    """
+    delta = budget / cells
+    best = [0.0] * (cells + 1)
+    picks = []
+    for x in gdfs:
+        table = [oracle_enb(x, k * delta, "literal") for k in range(cells + 1)]
+        new, pick = [], []
+        for b in range(cells + 1):
+            splits = [best[b - k] + table[k] for k in range(b + 1)]
+            top = max(splits)
+            if not x.mandatory and best[b] > top:
+                new.append(best[b])
+                pick.append(None)
+            else:
+                new.append(top)
+                pick.append(splits.index(top))
+        best = new
+        picks.append(pick)
+    spends, skipped, b = {}, set(), cells
+    for x, pick in zip(reversed(gdfs), reversed(picks)):
+        if pick[b] is None:
+            skipped.add(x.id)
+        else:
+            spends[x.id] = pick[b] * delta
+            b -= pick[b]
+    return best[cells], skipped, spends
+
+
 def repad(p: Portfolio, extra: float) -> Portfolio:
     """Raise every GDF's benefit by ``extra``.
 

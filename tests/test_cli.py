@@ -364,11 +364,12 @@ class TestSample:
         report = sample(sc.portfolio, sc.uncertainty, draws=8, seed=3)
         assert payload == json.loads(json.dumps(dataclasses.asdict(report)))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_json_refuses_a_non_finite_result(self, tmp_path, capfd):
-        # a loss of 1e300 makes the spread of the sampled net benefit overflow
+        # direct costs and a loss near the largest double make every drawn
+        # net benefit overflow to -inf
         doc = json.loads(bundled_scenario_text("three-gdfs-comparison"))
-        doc["portfolio"]["gdfs"][2]["attacks"][0]["loss"] = 1e300
+        doc["portfolio"]["gdfs"][2]["dir_costs"] = 1.7e308
+        doc["portfolio"]["gdfs"][2]["attacks"][0]["loss"] = 1.7e308
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         args = ["--json", "sample", str(path), "--draws", "16", "--seed", "0"]

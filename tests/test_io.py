@@ -287,12 +287,12 @@ class TestParseScenario:
                          id="attacks-not-an-array"),
             pytest.param("/portfolio/gdfs/0/mandatory", 1, SchemaError, "/portfolio/gdfs/0/mandatory",
                          id="mandatory-not-a-bool"),
-            pytest.param("/portfolio/gdfs/0/attacks/0/loss", float("inf"), ValidationError,
-                         "/portfolio/gdfs/0/attacks/0", id="money-not-finite"),
+            pytest.param("/portfolio/gdfs/0/attacks/0/loss", float("inf"), SchemaError,
+                         "/portfolio/gdfs/0/attacks/0/loss", id="money-not-finite"),
             pytest.param(BREACH, {"family": "table", "knots": []}, ValidationError, BREACH,
                          id="table-without-knots"),
-            pytest.param(BREACH, {"family": "table", "knots": [[0, 1], [float("inf"), 0.5]]}, ValidationError,
-                         BREACH, id="knot-not-finite"),
+            pytest.param(BREACH, {"family": "table", "knots": [[0, 1], [float("inf"), 0.5]]}, SchemaError,
+                         f"{BREACH}/knots/1/0", id="knot-not-finite"),
             pytest.param(BREACH, {"family": "table", "knots": [[0, 1], [10, 0.5], [5, 0.4]]}, ValidationError,
                          BREACH, id="knot-spends-not-increasing"),
             pytest.param("/portfolio/gdfs/0/attacks/0/id", "", ValidationError, "/portfolio/gdfs/0/attacks/0",
@@ -424,12 +424,17 @@ class TestHugeNumbers:
         cases = [(doc, leaf) for doc in huge_number_documents() for leaf in number_leaves(doc)]
         for part in ("/budget", "/uplift/", "/knots/", "/breach/alpha", "/breach/kappa", "/distribution/"):
             assert any(part in leaf for _, leaf in cases)
+        huge = str(10**400)
         for doc, leaf in cases:
             mutated = json.loads(json.dumps(doc))
             set_at(mutated, leaf, 10**400)
-            with pytest.raises(SchemaError) as caught:
-                parse_scenario(json.dumps(mutated))
-            assert caught.value.path == leaf
+            text = json.dumps(mutated)
+            # the integer, a float literal that overflows to inf, and the
+            # non-finite JSON extensions all fail at the leaf
+            for literal in (huge, "1e400", "-1e400", "Infinity", "NaN"):
+                with pytest.raises(SchemaError) as caught:
+                    parse_scenario(text.replace(huge, literal))
+                assert type(caught.value) is SchemaError and caught.value.path == leaf
 
     def test_integer_past_the_digit_limit_is_a_syntax_error(self):
         text = MINIMAL.replace('"ben": 100.0', '"ben": 1' + "0" * 5000)

@@ -38,6 +38,7 @@ from oracles import (
     gli_optimal_spend,
     grid_allocate,
     grid_argmax,
+    literal_grid_allocate,
     make_rng,
     oracle_enb,
     oracle_coupled_enb,
@@ -55,6 +56,15 @@ class TestOptimalSpend:
         best = optimal_spend(x)
         assert best.s_star == 0.0
         assert best.value == 70.0
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, LITERAL])
+    def test_an_infinite_zero_spend_loss_is_refused(self, mode):
+        # two losses near the largest double sum past it: no window to scan
+        attacks = tuple(AttackType(id=f"a{j}", baseline_prob=0.9, loss=1.7e308, breach=Exponential(1e-9))
+                        for j in range(2))
+        x = Gdf(id="x", ben=1.0, attacks=attacks)
+        with pytest.raises(ValueError, match="expected loss of 'x' at spend 0 must be finite, got inf"):
+            optimal_spend(x, EvalContext(mode=mode))
 
     def test_power_law_closed_form(self):
         # pull = p*L*alpha*beta = 10000 * 0.01 = 100, so s* = (sqrt(100)-1)/0.01 = 900
@@ -400,6 +410,35 @@ class TestAllocate:
         for kb in range(cells + 1):
             best = max(best, bad_v[kb] + max(twin_v[: cells + 1 - kb]))
         assert r.objective == pytest.approx(best, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_literal_mode_matches_the_max_plus_oracle(self, seed):
+        # ids 1 and 4 are mandatory; 0 and 4 lose at every spend; odd ids
+        # lose at spend 0 and may gain once funded, so what is skipped
+        # depends on the budget
+        rng = make_rng(400 + seed)
+        gdfs = []
+        for i in range(int(rng.integers(3, 7))):
+            x = random_gdf(rng, i, mandatory=i % 3 == 1, pad_range=(0.5, 1.0) if i % 2 else (1.15, 1.6))
+            gdfs.append(dataclasses.replace(x, ben=0.0) if i % 4 == 0 else x)
+        p = Portfolio(gdfs=tuple(gdfs))
+        f0 = sum(oracle_f(x, 0.0) for x in gdfs)
+        for frac in (0.02, 0.1, 1.5):
+            want, skipped, _ = literal_grid_allocate(gdfs, frac * f0)
+            r = allocate(p, budget=frac * f0, mode=LITERAL)
+            assert r.dropped == frozenset(skipped)
+            assert r.objective == pytest.approx(want, rel=1e-9)
+
+    def test_literal_grid_gives_a_flat_curve_the_first_of_its_tied_cells(self):
+        # without attacks the literal curve is flat, so every cell ties; the
+        # first, spend 0, wins and the rest of the budget stays unspent
+        flat = Gdf(id="flat", ben=100.0, dir_costs=30.0)
+        x = random_gdf(make_rng(103), "x")
+        budget = 4.0 * oracle_f(x, 0.0)
+        r = allocate(Portfolio(gdfs=(flat, x)), budget=budget, mode=LITERAL)
+        assert r.dropped == frozenset()
+        assert r.spends[flat.id] == 0.0
+        assert 0.0 < r.spends[x.id] < budget
 
     def test_empty_portfolio_allocates_nothing(self):
         r = allocate(Portfolio(), budget=100.0)

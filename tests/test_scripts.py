@@ -71,6 +71,19 @@ def test_op_digests_dump_and_against_name_the_moved_number(tmp_path, capsys):
     assert float(line.split(" ")[-2]) == pytest.approx(1e-9, rel=1e-3)
 
 
+def test_op_digests_exits_1_when_an_op_fails(monkeypatch, capsys):
+    from enbcds import cli
+
+    def fail(argv):
+        raise RuntimeError("boom")
+
+    main, argv = _main("op_digests.py"), ["--workload", "alloc-coupled", "--seed", "1"]
+    monkeypatch.setattr(cli, "main", fail)
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(line.endswith(" raised RuntimeError") for line in lines)
+
+
 def test_parse_digests_prints_both_modes_of_every_mutation(capsys):
     assert _main("parse_digests.py")(["bundled:wifi-thermostats"]) == 0
     rows = [line.split(" ") for line in capsys.readouterr().out.splitlines()]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import statistics
 import threading
 
 import numpy as np
@@ -198,6 +199,39 @@ class TestDrawDocument:
         assert r.param_stats[param.target].std > 0.0
 
 
+class TestHugeDraws:
+    def test_stats_of_finite_values_near_the_largest_double_stay_finite(self):
+        values = [1e308, 1.5e308]
+        got = _stats(np.array(values))
+        assert got.mean == statistics.mean(values)  # exact rational mean, rounded once
+        assert got.std == pytest.approx(statistics.pstdev(values), rel=1e-15)
+        assert (got.p5, got.p50, got.p95) == pytest.approx((1.025e308, 1.25e308, 1.475e308), rel=1e-15)
+
+    def test_a_loss_of_1e300_gives_finite_net_benefit_stats(self):
+        # every drawn net benefit of the IoT GDF is about -5.6e299, but the
+        # squared deviations around their mean pass the largest double
+        sf = bundled_scenario("three-gdfs-comparison")
+        x = sf.portfolio.gdfs[2]
+        x = dataclasses.replace(x, attacks=(dataclasses.replace(x.attacks[0], loss=1e300), *x.attacks[1:]))
+        p = dataclasses.replace(sf.portfolio, gdfs=(*sf.portfolio.gdfs[:2], x))
+        first = sf.uncertainty[0]
+        assert first.target == "/portfolio/gdfs/2/attacks/0/baseline_prob"
+        r = sample(p, sf.uncertainty, draws=16, seed=0, quantities=("enbcds",))
+
+        def drawn_enb(i):
+            # the first parameter drawn in each draw's substream
+            prob = min(1.0, max(0.0, first.distribution.sample(_draw_rng(0, i))))
+            attacks = (dataclasses.replace(x.attacks[0], baseline_prob=prob), *x.attacks[1:])
+            return oracle_enb(dataclasses.replace(x, attacks=attacks), x.actual_spend)
+
+        want = [drawn_enb(i) for i in range(16)]
+        got = r.enbcds_at_spend[x.id]
+        assert all(map(math.isfinite, dataclasses.astuple(got)))
+        assert got.mean == pytest.approx(statistics.mean(want), rel=1e-12)
+        assert got.std == pytest.approx(statistics.pstdev(want), rel=1e-9)
+        assert got.p50 == pytest.approx(statistics.median(want), rel=1e-12)
+
+
 class TestPointDegenerate:
     def test_point_only_uncertainty_reproduces_deterministic_results(self):
         p = small_portfolio()
@@ -345,6 +379,20 @@ class TestInvalidDraws:
         message = str(err.value)
         assert message.startswith(f"draw {first}, target {target}:")
         assert "GordonLoebII" in message
+
+
+    def test_non_finite_draw_names_its_own_target(self):
+        p = small_portfolio()
+        params = [
+            UncertainParam("/portfolio/gdfs/1/ben", Uniform(1e5, 2e5)),
+            UncertainParam("/portfolio/gdfs/0/ben", Triangular(1e308, 1.7e308, 1.79e308)),
+            UncertainParam("/portfolio/gdfs/0/dir_costs", Uniform(1e3, 2e3)),
+        ]
+        with pytest.raises(SensitivityError) as err:
+            sample(p, params, draws=4, seed=0, quantities=("enbcds",))
+        assert str(err.value).startswith(
+            "draw 0, target /portfolio/gdfs/0/ben: /portfolio/gdfs/0/ben: expected a finite number, got inf"
+        )
 
 
 class TestDeterminism:
