@@ -424,10 +424,11 @@ class TestAllocate:
         p = Portfolio(gdfs=tuple(gdfs))
         f0 = sum(oracle_f(x, 0.0) for x in gdfs)
         for frac in (0.02, 0.1, 1.5):
-            want, skipped, _ = literal_grid_allocate(gdfs, frac * f0)
+            want, skipped, spends = literal_grid_allocate(gdfs, frac * f0)
             r = allocate(p, budget=frac * f0, mode=LITERAL)
             assert r.dropped == frozenset(skipped)
             assert r.objective == pytest.approx(want, rel=1e-9)
+            assert {gid: r.spends[gid] for gid in spends} == spends
 
     def test_literal_grid_gives_a_flat_curve_the_first_of_its_tied_cells(self):
         # without attacks the literal curve is flat, so every cell ties; the
