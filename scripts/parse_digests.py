@@ -5,14 +5,15 @@ The corpus is the bundled scenarios, 12 seeded coupled random portfolios
 and the ``sample-mc`` benchmark pool, each written by the benchmark's own
 serializer (``perfbench/workloads.py``), plus every one-step mutation of
 each: a node replaced by ``"x"``, -1, 2, null, ``[]``, ``{}``, true, 0.5,
-0 or 2**1024 (an integer too large for a double); a key deleted; an
-unknown key added; or a key deleted and an unknown key added.  Each
-document is parsed strict and lenient, and one line is printed per parse:
-``doc-id mode sha256``.  The hash covers the outcome:
-the canonical text of the parsed scenario, or the error's class, message
-and ``path``, plus every warning raised.  Run it on two checkouts and diff
-the output to show that a change to the reader or the canonical writer
-leaves every outcome as it was.
+0, 2**1024 (an integer too large for a double), or a number at the edge
+of the double range (1e300, 1e-300, 1e308, the largest double, or the
+smallest subnormal 5e-324); a key deleted; an unknown key added; or a key
+deleted and an unknown key added.  Each document is parsed strict and
+lenient, and one line is printed per parse: ``doc-id mode sha256``.  The
+hash covers the outcome: the canonical text of the parsed scenario, or the
+error's class, message and ``path``, plus every warning raised.  Run it on
+two checkouts and diff the output to show that a change to the reader, the
+model's checks or the canonical writer leaves every outcome as it was.
 
 Usage:
     python3 scripts/parse_digests.py
@@ -37,7 +38,8 @@ from enbcds import bundled_scenario_names, bundled_scenario_text, parse_scenario
 from harness import DEFAULT_SEED  # noqa: E402
 from oracles import make_rng, random_portfolio  # noqa: E402
 
-REPLACEMENTS = ("x", -1, 2, None, [], {}, True, 0.5, 0, 2**1024)
+REPLACEMENTS = ("x", -1, 2, None, [], {}, True, 0.5, 0, 2**1024,
+                1e300, 1e-300, 1e308, 1.7976931348623157e308, 5e-324)
 UNKNOWN = "zz-unknown"
 
 

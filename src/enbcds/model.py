@@ -128,12 +128,10 @@ class GordonLoebI:
     beta: float = 1.0
 
     def __post_init__(self):
-        alpha = _require_positive(self.alpha, "GordonLoebI.alpha")
+        _require_positive(self.alpha, "GordonLoebI.alpha")
         beta = float(self.beta)
         if not math.isfinite(beta) or beta < 1.0:
             raise ModelError(f"GordonLoebI.beta must be >= 1, got {beta!r}")
-        if not math.isfinite(alpha * beta):  # the slope at 0
-            raise ModelError(f"GordonLoebI.alpha * beta must be finite, got {alpha!r} * {beta!r}")
 
     def multiplier(self, s: float, baseline: float | None = None) -> float:
         return (self.alpha * s + 1.0) ** -self.beta
@@ -264,17 +262,25 @@ class AttackType:
         object.__setattr__(self, "loss", _require_money(self.loss, f"attack {self.id!r} loss"))
         if not isinstance(self.breach, _BREACH_TYPES):
             raise ModelError(f"attack {self.id!r} has unknown breach model {self.breach!r}")
-        if isinstance(self.breach, GordonLoebII):
-            if not 0.0 < self.baseline_prob < 1.0:
-                raise ModelError(
-                    f"attack {self.id!r}: GordonLoebII requires baseline_prob strictly "
-                    f"inside (0, 1), got {self.baseline_prob!r}"
-                )
-            if not math.isfinite(self.breach.alpha * math.log(self.baseline_prob)):  # the slope at 0
-                raise ModelError(
-                    f"attack {self.id!r}: GordonLoebII alpha * log(baseline_prob) must be finite, "
-                    f"got {self.breach.alpha!r} * log({self.baseline_prob!r})"
-                )
+        if isinstance(self.breach, GordonLoebII) and not 0.0 < self.baseline_prob < 1.0:
+            raise ModelError(
+                f"attack {self.id!r}: GordonLoebII requires baseline_prob strictly "
+                f"inside (0, 1), got {self.baseline_prob!r}"
+            )
+        _require_money(_pull((self,)), f"attack {self.id!r} pull baseline_prob * loss * |g'(0)|")
+
+
+def _pull(attacks, s: float = 0.0) -> float:
+    """``sum p * L * |g'(s)|`` over ``attacks``: the standalone marginal value
+    of spend is this minus 1.  Each ``g`` is convex, so steepest at 0."""
+    return sum([a.baseline_prob * a.loss * -a.breach.multiplier_derivative(s, a.baseline_prob) for a in attacks])
+
+
+def _require_finite_sums(gdfs, where: str) -> None:
+    """Money and pull summed over ``gdfs`` are finite; money bounds each f(0) and net benefit at 0 and s^A."""
+    money = sum([g.ben + g.dir_costs + (g.actual_spend or 0.0) + sum([e.cost for e in g.adverse]) for g in gdfs])
+    _require_money(money + sum([a.loss for g in gdfs for a in g.attacks]), f"{where} money sum")
+    _require_money(sum([_pull(g.attacks) for g in gdfs]), f"{where} pull sum")
 
 
 @dataclass(frozen=True)
@@ -333,6 +339,7 @@ class Gdf:
                 if item.id in seen:
                     raise DuplicateIdError(f"gdf {self.id!r} has duplicate {kind} id {item.id!r}")
                 seen.add(item.id)
+        _require_finite_sums((self,), f"gdf {self.id!r}")
 
     def attack(self, attack_id: str) -> AttackType:
         for a in self.attacks:
@@ -434,6 +441,7 @@ class Portfolio:
         object.__setattr__(self, "edges", tuple(self.edges))
         if self.budget is not None:
             object.__setattr__(self, "budget", _require_money(self.budget, "portfolio budget"))
+        _require_finite_sums(self.gdfs, "portfolio")
 
     @cached_property
     def _graph(self) -> _Graph:

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .evaluate import ADDITIVE, CoupledTotal, EvalContext, _net_curve, check_mode, enb, expected_cyber_cost
-from .model import Gdf, Portfolio, restrict_portfolio
+from .model import Gdf, Portfolio, _pull, restrict_portfolio
 
 __all__ = [
     "OptimizationError",
@@ -154,11 +154,7 @@ def _standalone_marginal(x: Gdf) -> Callable[[float], float]:
     attacks = x.attacks
 
     def marginal(s: float) -> float:
-        slope = sum(
-            a.baseline_prob * a.loss * a.breach.multiplier_derivative(s, a.baseline_prob)
-            for a in attacks
-        )
-        return -1.0 - slope
+        return _pull(attacks, s) - 1.0
 
     return marginal
 
@@ -208,13 +204,10 @@ def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | Non
     point and the golden point, so boundary optima come back exact.  ``n``
     is 2 for the one-peaked additive curve and 2001 in literal mode.
     """
-    f0 = expected_cyber_cost(x, 0.0, context)
     if upper is None:
-        if f0 <= 0.0:
+        upper = expected_cyber_cost(x, 0.0, context)
+        if upper <= 0.0:
             return OptimalSpend(0.0, enb(x, 0.0, context))
-        if not math.isfinite(f0):
-            raise ValueError(f"expected loss of {x.id!r} at spend 0 must be finite, got {f0!r}")
-        upper = f0
     else:
         upper = float(upper)
         if not math.isfinite(upper) or upper <= 0.0:
@@ -286,8 +279,7 @@ def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
     def spends_at(lam: float) -> dict[str, float]:
         return {xid: _bisect_decreasing(m, 0.0, peaks[xid], lam) for xid, m in marginals.items()}
 
-    # a zero-spend marginal can overflow to inf, and halving an infinite bracket gives nan
-    lo, hi = 0.0, max(filter(math.isfinite, (m(0.0) for m in marginals.values())), default=0.0)
+    lo, hi = 0.0, max(m(0.0) for m in marginals.values())
     low, high = dict.fromkeys(peaks, 0.0), peaks  # the spends at hi and at lo
     for _ in range(100):
         mid = 0.5 * (lo + hi)

@@ -364,21 +364,33 @@ class TestSample:
         report = sample(sc.portfolio, sc.uncertainty, draws=8, seed=3)
         assert payload == json.loads(json.dumps(dataclasses.asdict(report)))
 
-    def test_json_refuses_a_non_finite_result(self, tmp_path, capfd):
-        # direct costs and a loss near the largest double make every drawn
-        # net benefit overflow to -inf
-        doc = json.loads(bundled_scenario_text("three-gdfs-comparison"))
-        doc["portfolio"]["gdfs"][2]["dir_costs"] = 1.7e308
-        doc["portfolio"]["gdfs"][2]["attacks"][0]["loss"] = 1.7e308
+    @pytest.mark.parametrize("case", ["overflowing-document", "overflowing-result"])
+    def test_json_refuses_a_non_finite_result(self, tmp_path, capfd, case):
+        if case == "overflowing-document":
+            # direct costs and a loss near the largest double sum past it: the
+            # document fails at parse, before any result is formed
+            doc = json.loads(bundled_scenario_text("three-gdfs-comparison"))
+            doc["portfolio"]["gdfs"][2]["dir_costs"] = 1.7e308
+            doc["portfolio"]["gdfs"][2]["attacks"][0]["loss"] = 1.7e308
+            args, error = ["sample", "--draws", "16", "--seed", "0"], "error: /portfolio/gdfs/2: gdf "
+        else:
+            # a valid document; the literal cost 0.9 * (loss + s) of each of two
+            # attacks at a spend near the largest double sums to inf, and the
+            # net benefit reads -inf, which JSON cannot carry
+            attack = {"baseline_prob": 0.9, "loss": 1000.0, "breach": {"family": "table", "knots": [[0, 1]]}}
+            doc = json.loads(MINIMAL)
+            doc["portfolio"]["gdfs"][0]["attacks"] = [{"id": f"a{j}", **attack} for j in range(2)]
+            args = ["evaluate", "--gdf", "solo", "--mode", "literal", "--spend", "1.7e308"]
+            error = "error: Out of range float values are not JSON compliant: -inf"
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        args = ["--json", "sample", str(path), "--draws", "16", "--seed", "0"]
+        args = ["--json", args[0], str(path), *args[1:]]
         assert main(args) == 1
         assert capfd.readouterr().out == ""
         assert main(args + ["-o", str(tmp_path / "out.json")]) == 1
         captured = capfd.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(error)
         assert os.listdir(tmp_path) == ["s.json"]
 
     def test_threads_flag_does_not_change_output(self, scada_file, capfd):

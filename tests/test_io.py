@@ -8,10 +8,16 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from enbcds import (
+    AttackType,
+    DependencyEdge,
     EmptyCurveError,
     EnbcdsCurve,
+    Exponential,
+    Gdf,
+    ModelError,
     OptimalSpend,
     Point,
+    Portfolio,
     ScenarioSyntaxError,
     SchemaError,
     SchemaWarning,
@@ -440,6 +446,54 @@ class TestHugeNumbers:
         text = MINIMAL.replace('"ben": 100.0', '"ben": 1' + "0" * 5000)
         with pytest.raises(ScenarioSyntaxError):
             parse_scenario(text)
+
+
+def exponential_gdf(gid: str, ben: float, losses, prob: float, kappa: float, **extra) -> dict:
+    return {"id": gid, "ben": ben, "dir_costs": 0.0, **extra, "attacks": [
+        {"id": f"a{j}", "baseline_prob": prob, "loss": loss, "breach": {"family": "exponential", "kappa": kappa}}
+        for j, loss in enumerate(losses)
+    ]}
+
+
+def coupled_pair(ben: float, loss: float) -> tuple[list, list]:
+    gdfs = [exponential_gdf(f"g{k}", ben, [loss], 0.5, 1e-306) for k in range(2)]
+    return gdfs, [{"source": "g0", "target": "g1", "uplift": {"a0": 1.5}}]
+
+
+class TestFiniteSums:
+    """Documents of finite numbers whose sums overflow a double; each used to
+    give a NaN or infinite result, or none at all, further down."""
+
+    @pytest.mark.parametrize("gdfs, edges, path, what", [
+        # f(0) = inf: the curve, the allocator and the literal grid each went wrong
+        pytest.param([exponential_gdf("g", 1.0, [1.7e308] * 2, 0.9, 1e-9)], [], "/portfolio/gdfs/0",
+                     "gdf 'g' money sum", id="two-huge-losses"),
+        # the summed net benefit of the pair overflowed in the coupled refinement
+        pytest.param(*coupled_pair(1e308, 5e307), "/portfolio", "portfolio money sum", id="coupled-pair"),
+        # with losses of 1e308 each GDF's own sum overflows first
+        pytest.param(*coupled_pair(1e308, 1e308), "/portfolio/gdfs/0", "gdf 'g0' money sum",
+                     id="coupled-pair-huge-losses"),
+        # the net benefit at the actual spend was -inf in report and evaluate
+        pytest.param([exponential_gdf("g", 1.0, [1e308], 0.9, 1e-320, actual_spend=1.7e308)], [],
+                     "/portfolio/gdfs/0", "gdf 'g' money sum", id="huge-actual-spend"),
+    ])
+    def test_fails_at_parse_and_in_the_constructor(self, gdfs, edges, path, what):
+        text = json.dumps({"schema_version": 1, "portfolio": {"budget": None, "gdfs": gdfs, "edges": edges}})
+        with pytest.raises(ValidationError) as caught:
+            parse_scenario(text)
+        assert caught.value.path == path
+        assert str(caught.value) == f"{path}: {what} must be finite, got inf"
+        with pytest.raises(ModelError, match=f"^{what} must be finite, got inf$"):
+            Portfolio(
+                gdfs=tuple(
+                    Gdf(id=g["id"], ben=g["ben"], actual_spend=g.get("actual_spend"), attacks=tuple(
+                        AttackType(a["id"], a["baseline_prob"], a["loss"], Exponential(a["breach"]["kappa"]))
+                        for a in g["attacks"]
+                    ))
+                    for g in gdfs
+                ),
+                edges=tuple(DependencyEdge(**e) for e in edges),
+            )
 
 
 class TestShippedScenarios:

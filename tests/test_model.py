@@ -1,5 +1,6 @@
 """Domain-model construction and validation invariants."""
 
+import dataclasses
 import math
 
 import pytest
@@ -202,6 +203,64 @@ class TestBreachParameterValidation:
     def test_exponential_kappa_positive(self, kappa):
         with pytest.raises(ModelError):
             Exponential(kappa=kappa)
+
+
+class TestFiniteRange:
+    """Each attack's pull ``baseline_prob * loss * |g'(0)|``, and each GDF's
+    and portfolio's money and pull sums, are finite."""
+
+    def test_an_infinite_zero_spend_loss_is_refused(self):
+        # two losses near the largest double sum past it: f(0) would be inf
+        attacks = tuple(AttackType(id=f"a{j}", baseline_prob=0.9, loss=1.7e308, breach=Exponential(1e-9))
+                        for j in range(2))
+        with pytest.raises(ModelError, match=r"gdf 'x' money sum must be finite, got inf"):
+            Gdf(id="x", ben=1.0, attacks=attacks)
+
+    @pytest.mark.parametrize("prob, loss, breach, got", [
+        # the slope at 0 itself overflows: alpha * beta, alpha * log(baseline)
+        (0.5, 10.0, GordonLoebI(alpha=1e308, beta=2.0), "inf"),
+        (0.0, 10.0, GordonLoebI(alpha=1e308, beta=2.0), "nan"),  # 0 * inf
+        (1e-300, 10.0, GordonLoebII(alpha=1.7e308), "inf"),
+        (0.5, 0.0, Table(((0.0, 1.0), (5e-324, 0.5))), "nan"),
+        # a finite slope times the loss overflows
+        (0.5, 1e10, GordonLoebI(alpha=1e300), "inf"),
+        (0.5, 1e10, Exponential(kappa=1e300), "inf"),
+        (0.9, 1.7e308, Exponential(kappa=2.0), "inf"),
+    ])
+    def test_an_attack_whose_pull_overflows_is_refused(self, prob, loss, breach, got):
+        with pytest.raises(ModelError, match=rf"attack 'a' pull baseline_prob \* loss \* \|g'\(0\)\| must be finite, "
+                                             rf"got {got}"):
+            AttackType(id="a", baseline_prob=prob, loss=loss, breach=breach)
+
+    def test_the_breach_alone_still_builds(self):
+        # the bound needs the attack's probability and loss, so it is the attack's
+        assert Table(((0.0, 1.0), (5e-324, 0.5))).multiplier_derivative(0.0) == -math.inf
+        assert GordonLoebI(alpha=1e308, beta=2.0).multiplier_derivative(0.0) == -math.inf
+
+    @pytest.mark.parametrize("fields", [
+        {"ben": 1e308, "dir_costs": 1e308},
+        {"actual_spend": 1.7e308},
+        {"adverse": (AdverseEvent(id="e", prob=0.1, cost=1.7e308),)},
+    ])
+    def test_a_gdf_whose_money_sum_overflows_is_refused(self, fields):
+        with pytest.raises(ModelError, match=r"gdf 'x' money sum must be finite, got inf"):
+            Gdf(id="x", attacks=(simple_attack(loss=1e308),), **{"ben": 1.0, **fields})
+
+    def test_a_gdf_whose_pull_sum_overflows_is_refused(self):
+        # each pull is 0.5 * 1e10 * 2e297 = 1e307: ten sum to 1e308, twenty pass the largest double
+        attacks = tuple(simple_attack(f"a{j}", loss=1e10, breach=Exponential(kappa=2e297)) for j in range(20))
+        Gdf(id="x", attacks=attacks[:10])
+        with pytest.raises(ModelError, match=r"gdf 'x' pull sum must be finite, got inf"):
+            Gdf(id="x", attacks=attacks)
+
+    def test_a_portfolio_whose_sums_overflow_is_refused(self):
+        rich = Gdf(id="x", ben=1e308)
+        with pytest.raises(ModelError, match=r"portfolio money sum must be finite, got inf"):
+            Portfolio(gdfs=(rich, dataclasses.replace(rich, id="y")))
+        pulls = tuple(simple_attack(f"a{j}", loss=1e10, breach=Exponential(kappa=2e297)) for j in range(10))
+        steep = Gdf(id="x", attacks=pulls)
+        with pytest.raises(ModelError, match=r"portfolio pull sum must be finite, got inf"):
+            Portfolio(gdfs=(steep, dataclasses.replace(steep, id="y")))
 
 
 class TestTable:

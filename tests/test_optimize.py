@@ -57,15 +57,6 @@ class TestOptimalSpend:
         assert best.s_star == 0.0
         assert best.value == 70.0
 
-    @pytest.mark.parametrize("mode", [ADDITIVE, LITERAL])
-    def test_an_infinite_zero_spend_loss_is_refused(self, mode):
-        # two losses near the largest double sum past it: no window to scan
-        attacks = tuple(AttackType(id=f"a{j}", baseline_prob=0.9, loss=1.7e308, breach=Exponential(1e-9))
-                        for j in range(2))
-        x = Gdf(id="x", ben=1.0, attacks=attacks)
-        with pytest.raises(ValueError, match="expected loss of 'x' at spend 0 must be finite, got inf"):
-            optimal_spend(x, EvalContext(mode=mode))
-
     def test_power_law_closed_form(self):
         # pull = p*L*alpha*beta = 10000 * 0.01 = 100, so s* = (sqrt(100)-1)/0.01 = 900
         x = Gdf(id="x", ben=1e6, attacks=(

@@ -12,6 +12,7 @@ from enbcds import (
     AttackType,
     DependencyEdge,
     EvalContext,
+    Exponential,
     Gdf,
     GordonLoebII,
     InvalidDistributionError,
@@ -380,6 +381,29 @@ class TestInvalidDraws:
         assert message.startswith(f"draw {first}, target {target}:")
         assert "GordonLoebII" in message
 
+    def test_draw_whose_money_sum_overflows_names_its_index_and_gdf_targets(self):
+        attack = AttackType(id="a", baseline_prob=0.5, loss=1e4, breach=Exponential(kappa=1e-9))
+        p = Portfolio(gdfs=(Gdf(id="x", ben=1e5, attacks=(attack,)), Gdf(id="y", ben=1e5)))
+        targets = ["/portfolio/gdfs/0/ben", "/portfolio/gdfs/0/attacks/0/loss"]
+        seed = 3
+
+        def overflows(i):
+            # each finite on its own; the GDF's money sum is inf once they pass the largest double
+            rng = _draw_rng(seed, i)
+            rng.uniform(1e5, 2e5)
+            return rng.uniform(0.0, 1.7e308) + rng.uniform(0.0, 1.7e308) == math.inf
+
+        first = next(i for i in range(100) if overflows(i))
+        assert first > 0
+        params = [
+            UncertainParam("/portfolio/gdfs/1/ben", Uniform(1e5, 2e5)),
+            *(UncertainParam(target, Uniform(0.0, 1.7e308)) for target in targets),
+        ]
+        with pytest.raises(SensitivityError) as err:
+            sample(p, params, draws=first + 4, seed=seed, quantities=("enbcds",))
+        assert str(err.value) == (
+            f"draw {first}, target {', '.join(targets)}: /portfolio/gdfs/0: gdf 'x' money sum must be finite, got inf"
+        )
 
     def test_non_finite_draw_names_its_own_target(self):
         p = small_portfolio()
