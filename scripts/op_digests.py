@@ -63,7 +63,7 @@ def largest_change(old, new, path: str = "") -> tuple[float, str]:
     return max(parts, key=lambda part: part[0], default=(0.0, path or "/"))
 
 
-def _describe_change(old, new) -> str:
+def describe_change(old, new) -> str:
     """How an op's dumped output ``new`` differs from ``old``: each is its
     stdout text or ``{"failed": reason}``."""
     if isinstance(new, dict):
@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
                     if before is None:
                         print(key, error or hashlib.sha256(out).hexdigest())
                     elif before.get(key) != outputs[key]:
-                        print(key, _describe_change(before.get(key), outputs[key]))
+                        print(key, describe_change(before.get(key), outputs[key]))
     if args.dump is not None:
         with open(args.dump, "w", encoding="utf-8") as fh:
             json.dump(outputs, fh, indent=1, sort_keys=True)

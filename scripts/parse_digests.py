@@ -15,32 +15,55 @@ error's class, message and ``path``, plus every warning raised.  Run it on
 two checkouts and diff the output to show that a change to the reader, the
 model's checks or the canonical writer leaves every outcome as it was.
 
+``--run`` prints, in place of the parse digests, the outcome of running
+each strict-accepted document through the CLI in-process (the benchmark's
+``call_cli``): ``--json allocate``, ``--json allocate --mode literal``,
+``--json report`` and ``--json sample --draws 3 --seed 0``, one line each,
+``doc-id command sha256``, the hash of the stdout or of the failure.  A
+warning counts as raised, as in the test suite.  ``--dump`` and
+``--against`` work as in ``op_digests.py``, on the run outputs.  Exits 1
+when a run raises or fails naming a ``nan``; an ordinary error exit is an
+outcome like any other.
+
 Usage:
     python3 scripts/parse_digests.py
     python3 scripts/parse_digests.py bundled:wifi-thermostats
+    python3 scripts/parse_digests.py --run 'bundled:*'   # the corpus' bundled part
+    python3 scripts/parse_digests.py --run --dump before.json   # on the old checkout
+    python3 scripts/parse_digests.py --run --against before.json   # on the new one
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import fnmatch
 import hashlib
 import json
 import pathlib
+import re
 import sys
+import tempfile
 import warnings
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / d) for d in ("src", "tests", "perfbench")]
+sys.path[:0] = [str(ROOT / d) for d in ("src", "tests", "perfbench", "scripts")]
 
 import workloads  # noqa: E402
-from enbcds import bundled_scenario_names, bundled_scenario_text, parse_scenario, serialize_scenario  # noqa: E402
-from harness import DEFAULT_SEED  # noqa: E402
+from enbcds import bundled_scenario_names, bundled_scenario_text, cli, parse_scenario, serialize_scenario  # noqa: E402
+from harness import DEFAULT_SEED, call_cli  # noqa: E402
+from op_digests import describe_change  # noqa: E402
 from oracles import make_rng, random_portfolio  # noqa: E402
 
 REPLACEMENTS = ("x", -1, 2, None, [], {}, True, 0.5, 0, 2**1024,
                 1e300, 1e-300, 1e308, 1.7976931348623157e308, 5e-324)
 UNKNOWN = "zz-unknown"
+RUNS = {  # --run: command name -> CLI arguments around the document's path
+    "allocate": ("allocate",),
+    "allocate-literal": ("allocate", "--mode", "literal"),
+    "report": ("report",),
+    "sample": ("sample", "--draws", "3", "--seed", "0"),
+}
 
 
 def base_documents() -> dict[str, str]:
@@ -106,22 +129,72 @@ def outcome(text: str, lenient: bool) -> str:
     return hashlib.sha256((result + notes).encode("utf-8")).hexdigest()
 
 
+def run(text: str, path: str):
+    """(command, stdout text or ``{"failed": reason}``) for each of ``RUNS``
+    on the document ``text``, written to ``path``."""
+    pathlib.Path(path).write_text(text, encoding="utf-8")
+    for name, (command, *rest) in RUNS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            error, out = call_cli(cli.main, ["--json", command, path, *rest])
+        yield name, {"failed": error} if error else out.decode("utf-8")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base", nargs="*", help="corpus ids to run, e.g. bundled:remote-scada (default all)")
+    parser.add_argument("base", nargs="*",
+                        help="corpus ids or shell patterns, e.g. bundled:remote-scada or 'bundled:*' (default all)")
+    parser.add_argument("--run", action="store_true", help="digest CLI runs of the strict-accepted documents")
+    parser.add_argument("--dump", metavar="FILE", help="with --run, also write every run's output to FILE as JSON")
+    parser.add_argument("--against", metavar="FILE",
+                        help="with --run, print how each run's output moved from a --dump FILE, in place of the digests")
     args = parser.parse_args(argv)
+    if not args.run and (args.dump or args.against):
+        parser.error("--dump and --against need --run")
+    before = None
+    if args.against is not None:
+        with open(args.against, encoding="utf-8") as fh:
+            before = json.load(fh)
 
     corpus = base_documents()
-    unknown = sorted(set(args.base) - set(corpus))
+    unknown = [pattern for pattern in args.base if not fnmatch.filter(corpus, pattern)]
     if unknown:
         parser.error(f"unknown corpus id(s) {', '.join(unknown)}; available: {', '.join(corpus)}")
-    for base in args.base or corpus:
-        text = corpus[base]
-        docs = [(base, text)] + [(f"{base}{suffix}", json.dumps(doc)) for suffix, doc in mutations(text)]
-        for doc_id, doc_text in docs:
-            for mode in ("strict", "lenient"):
-                print(doc_id, mode, outcome(doc_text, mode == "lenient"))
-    return 0
+    outputs = {}
+    bad = False
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(pathlib.Path(directory) / "scenario.json")
+        for base in [b for b in corpus if not args.base or any(fnmatch.fnmatch(b, p) for p in args.base)]:
+            text = corpus[base]
+            docs = [(base, text)] + [(f"{base}{suffix}", json.dumps(doc)) for suffix, doc in mutations(text)]
+            if not args.run:
+                for doc_id, doc_text in docs:
+                    for mode in ("strict", "lenient"):
+                        print(doc_id, mode, outcome(doc_text, mode == "lenient"))
+                continue
+            for doc_id, doc_text in docs:
+                try:
+                    parse_scenario(doc_text)
+                except Exception:  # rejected: the parse digests cover it
+                    continue
+                for name, result in run(doc_text, path):
+                    key = f"{doc_id} {name}"
+                    if args.dump is not None:
+                        outputs[key] = result
+                    reason = result["failed"] if isinstance(result, dict) else None
+                    if reason is not None and (reason.startswith("raised ") or re.search(r"\bnan\b", reason)):
+                        bad = True
+                        print(key, reason, file=sys.stderr)
+                    if before is None:
+                        digested = result if reason is None else f"failed\n{reason}"
+                        print(key, hashlib.sha256(digested.encode("utf-8")).hexdigest())
+                    elif before.get(key) != result:
+                        print(key, describe_change(before.get(key), result))
+    if args.dump is not None:
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            json.dump(outputs, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

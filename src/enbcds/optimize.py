@@ -9,12 +9,13 @@ the two ends alone.
 
 Portfolio: maximize the summed net benefit subject to a shared budget.
 Without dependency edges the problem is separable and concave, so
-water-filling applies: halve a bracket on the common marginal value ``lam``
-100 times, giving each GDF the spend where its own marginal equals ``lam``
-(clamped to ``[0, s*]``), found by a tolerance-terminated bracketed root
-finder (Illinois false position) on the analytic marginal ``-1 - sum p * L *
-g'(s)``, then split the budget between the spends at the two ends of the
-final bracket, which sum to at most and to more than the budget.
+water-filling applies: give each GDF the spend where its own marginal
+equals a common value ``lam`` (clamped to ``[0, s*]``), found by a
+tolerance-terminated bracketed root finder (Illinois false position) on the
+analytic marginal ``-1 - sum p * L * g'(s)``; find ``lam`` itself by the
+same root finder on the summed spends less the budget, down to adjacent
+floats; then split the budget between the spends at the two ends of the
+final ``lam`` bracket, which sum to at most and to more than the budget.
 Non-mandatory GDFs whose coupled net benefit is negative at their
 allocated spend are dropped, their budget freed, and the program re-solved
 until the drop set is stable.  With edges the coupled objective is polished
@@ -78,12 +79,14 @@ class OptimalSpend(NamedTuple):
 
 
 def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximizer for a unimodal ``fn`` on ``[lo, hi]``."""
+    """Golden-section maximizer for a unimodal ``fn`` on ``[lo, hi]``.  Stops
+    at width ``tol``, or where the bracket's floats are too coarse to shrink
+    it further: with a ``tol`` below their spacing it would never stop."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > tol and a < c and d < b:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -96,27 +99,30 @@ def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) 
     return mid, fn(mid)
 
 
-def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float, target: float) -> float:
-    """Solve ``fn(s) = target`` for decreasing ``fn`` with ``fn(lo) >= target >= fn(hi)``.
+def _bisect_decreasing(
+    fn: Callable[[float], float], lo: float, hi: float, target: float, tol: float
+) -> tuple[float, float]:
+    """Bracket the solution of ``fn(s) = target`` for decreasing ``fn`` with
+    ``fn(lo) >= target >= fn(hi)``.
 
     Illinois false position (Dowell & Jarratt, BIT 11, 1971): a secant step
     inside the sign-changing bracket, halving the stale end's residual when
     the same end moves twice running, so both ends close in superlinearly.
     A step that leaves its end with more than half the residual it replaced,
     as on a plateau of a piecewise-linear marginal, is followed by a
-    bisection step.  Stops once the bracket is narrower than 1e-13 of its
-    starting width or ``fn`` hits ``target`` exactly; ``_ROOT_ITERS`` only
-    guards the loop.  Returns ``lo`` when ``fn(lo) <= target`` and ``hi`` when
-    ``fn(hi) >= target``.
+    bisection step.  Stops once the bracket is no wider than ``tol`` (with
+    0, once its ends are adjacent floats) or ``fn`` hits ``target`` exactly;
+    ``_ROOT_ITERS`` only guards the loop.  Returns the final bracket ``(a,
+    b)``, where ``fn(a) > target > fn(b)``, or one point twice: ``lo`` when
+    ``fn(lo) <= target``, ``hi`` when ``fn(hi) >= target``, or an exact root.
     """
     fa = fn(lo) - target
     if fa <= 0.0:
-        return lo
+        return lo, lo
     fb = fn(hi) - target
     if fb >= 0.0:
-        return hi
+        return hi, hi
     a, b = lo, hi
-    tol = 1e-13 * (hi - lo)
     side = 0
     stalled = False
     for _ in range(_ROOT_ITERS):
@@ -129,9 +135,15 @@ def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float, targe
             # one end closes the bracket from the other end in one step
             c = b - fb * (b - a) / (fb - fa)
             c = min(max(c, a + 0.5 * tol), b - 0.5 * tol)
+        # a step on an end (tol 0) or a NaN one (a NaN residual) bisects
+        # instead; with no float left inside, the bracket is closed
+        if not a < c < b:
+            c = 0.5 * (a + b)
+            if not a < c < b:
+                break
         fc = fn(c) - target
         if fc == 0.0:
-            return c
+            return c, c
         if fc > 0.0:
             stalled = fc > 0.5 * fa
             a, fa = c, fc
@@ -144,7 +156,14 @@ def _bisect_decreasing(fn: Callable[[float], float], lo: float, hi: float, targe
             if side < 0:
                 fa *= 0.5
             side = -1
-    return 0.5 * (a + b)
+    return a, b
+
+
+def _root(fn: Callable[[float], float], lo: float, hi: float, target: float) -> float:
+    """The solution that ``_bisect_decreasing`` brackets to 1e-13 of
+    ``hi - lo``: the point it returned, or the middle of its final bracket."""
+    a, b = _bisect_decreasing(fn, lo, hi, target, 1e-13 * (hi - lo))
+    return a if a == b else 0.5 * (a + b)
 
 
 def _standalone_marginal(x: Gdf) -> Callable[[float], float]:
@@ -262,32 +281,35 @@ class AllocationResult:
 
 
 def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
-    """Separable concave allocation by bisection on the shared marginal.
+    """Separable concave allocation by a root find on the shared marginal.
 
     Each spend at ``lam`` is one root find on ``[0, peak]``: 0 where the
     marginal starts at or below ``lam``, the peak where it never falls to it.
-    The spends at the bracket's upper end ``hi`` sum to at most the budget
-    (at first all 0) and those at its lower end ``lo`` to more (at first the
-    peaks).  After 100 halvings the spends ``theta`` of the way from the
-    first to the second sum to the budget, and fill Table plateaus.
+    The spends summed over GDFs fall as ``lam`` rises, from the peaks at 0
+    to all 0 at the largest marginal at 0, so ``lam`` is one more root find
+    (Everett's multiplier search, Operations Research 11(3), 1963), closed
+    down to adjacent floats.  The spends found at its final bracket's upper
+    end sum to at most the budget and those at its lower end to more; the
+    spends ``theta`` of the way from the first to the second sum to the
+    budget, and fill Table plateaus.
     """
     marginals = {x.id: _standalone_marginal(x) for x in gdfs}
-    peaks = {x.id: _bisect_decreasing(marginals[x.id], 0.0, expected_cyber_cost(x, 0.0), 0.0) for x in gdfs}
+    peaks = {x.id: _root(marginals[x.id], 0.0, expected_cyber_cost(x, 0.0), 0.0) for x in gdfs}
     if budget is None or sum(peaks.values()) <= budget:
         return peaks, 0.0  # slack budget: everyone at their own peak
 
-    def spends_at(lam: float) -> dict[str, float]:
-        return {xid: _bisect_decreasing(m, 0.0, peaks[xid], lam) for xid, m in marginals.items()}
+    top = max(m(0.0) for m in marginals.values())
+    found = {0.0: peaks, top: dict.fromkeys(peaks, 0.0)}  # the spends at each lam tried
 
-    lo, hi = 0.0, max(m(0.0) for m in marginals.values())
-    low, high = dict.fromkeys(peaks, 0.0), peaks  # the spends at hi and at lo
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        spends = spends_at(mid)
-        if sum(spends.values()) > budget:
-            lo, high = mid, spends
-        else:
-            hi, low = mid, spends
+    def used(lam: float) -> float:
+        if lam not in found:
+            found[lam] = {xid: _root(m, 0.0, peaks[xid], lam) for xid, m in marginals.items()}
+        return sum(found[lam].values())
+
+    lo, hi = _bisect_decreasing(used, 0.0, top, budget, 0.0)
+    low, high = found[hi], found[lo]
+    if lo == hi:  # the spends there use the budget exactly, or it is 0
+        return low, hi
     sum_low = sum(low.values())
     theta = (budget - sum_low) / (sum(high.values()) - sum_low)
     return {xid: low[xid] + theta * (high[xid] - low[xid]) for xid in low}, hi
@@ -344,7 +366,7 @@ def _refine_with_edges(
             return objective(point(t))
 
         best_t, best_v = _golden_max(along, lo, hi, tol)
-        root = _bisect_decreasing(lambda t: _slope(along, t, lo, hi, h), lo, hi, 0.0)
+        root = _root(lambda t: _slope(along, t, lo, hi, h), lo, hi, 0.0)
         for t in {root, lo, hi} - {best_t}:
             v = along(t)
             if v > best_v:

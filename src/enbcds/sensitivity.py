@@ -212,6 +212,23 @@ class QuantityStats:
     p95: float
 
 
+def _percentiles(values: list[float], qs: Sequence[float]) -> list[float]:
+    """The ``q``-th percentiles of ``values`` (no NaN) by numpy's default
+    "linear" rule, bit for bit: sorted, at the virtual index ``(n - 1) * q /
+    100``, between its two neighbours by numpy's ``_lerp``.  Plain Python,
+    since ``np.percentile`` imports ``numpy.ma`` on its first call."""
+    ordered = sorted(values)
+    out = []
+    for q in qs:
+        at = (len(ordered) - 1) * (q / 100)
+        i = math.floor(at)
+        t = at - i
+        a, b = ordered[i], ordered[min(i + 1, len(ordered) - 1)]
+        d = b - a
+        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return out
+
+
 def _stats(values: np.ndarray) -> QuantityStats:
     vmin, vmax = float(values.min()), float(values.max())
     if vmin == vmax:
@@ -223,7 +240,7 @@ def _stats(values: np.ndarray) -> QuantityStats:
     # power of two is exact, so ordinary samples give the same bits
     _, e = math.frexp(max(abs(vmin), abs(vmax)))
     scaled = np.ldexp(values, -e)
-    stats = np.mean(scaled), np.std(scaled), *np.percentile(scaled, [5.0, 50.0, 95.0])
+    stats = np.mean(scaled), np.std(scaled), *_percentiles(scaled.tolist(), (5.0, 50.0, 95.0))
     return QuantityStats(*(math.ldexp(float(v), e) for v in stats))
 
 

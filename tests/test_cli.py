@@ -460,3 +460,23 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "OK\n"
+
+    def test_sample_leaves_numpy_ma_unimported(self, comparison_file):
+        # np.percentile imports numpy.ma on its first call: 2 MB and 15-20 ms
+        # of every sample process
+        src = os.path.dirname(os.path.dirname(enbcds.__file__))
+        script = (
+            "import sys\n"
+            "from enbcds.cli import main\n"
+            f"rc = main(['--json', 'sample', {comparison_file!r}, '--draws', '3', '--seed', '0'])\n"
+            "print(rc, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "0 False\n"
+        assert json.loads(proc.stdout)["draws"] == 3

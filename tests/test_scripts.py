@@ -5,6 +5,7 @@ import hashlib
 import json
 import pathlib
 import runpy
+import sys
 
 import pytest
 
@@ -93,3 +94,49 @@ def test_parse_digests_prints_both_modes_of_every_mutation(capsys):
     assert ids[0] == "bundled:wifi-thermostats" and len(set(ids)) == len(ids) > 100
     canonical = serialize_scenario(bundled_scenario("wifi-thermostats"))
     assert rows[0][2] == rows[1][2] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_parse_digests_run_digests_four_commands_per_accepted_document(tmp_path, capsys):
+    main, dump = _main("parse_digests.py"), tmp_path / "runs.json"
+    argv = ["--run", "bundled:wifi-*"]
+    assert main(argv + ["--dump", str(dump)]) == 0
+    rows = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+    assert all(len(row) == 3 and len(row[2]) == 64 for row in rows)
+    commands = ["allocate", "allocate-literal", "report", "sample"]
+    assert [row[1] for row in rows] == commands * (len(rows) // 4)
+    ids = [row[0] for row in rows[::4]]
+    assert ids[0] == "bundled:wifi-thermostats" and len(set(ids)) == len(ids) > 20
+    outputs = json.loads(dump.read_text())
+    assert sorted(outputs) == sorted(f"{row[0]} {row[1]}" for row in rows)
+    key = "bundled:wifi-thermostats allocate"
+    assert rows[0][2] == hashlib.sha256(outputs[key].encode("utf-8")).hexdigest()
+
+    doc = json.loads(outputs[key])
+    doc["objective"] *= 1.0 + 1e-9
+    outputs[key] = json.dumps(doc)
+    del outputs[f"{ids[1]} report"]
+    dump.write_text(json.dumps(outputs))
+    assert main(argv + ["--against", str(dump)]) == 0
+    moved, missing = capsys.readouterr().out.splitlines()
+    assert moved.startswith(key + " ") and moved.endswith(" /objective")
+    assert missing == f"{ids[1]} report missing from the dump"
+
+
+@pytest.mark.parametrize(
+    "message,raises,status",
+    [("boom", True, 1), ("error: spend must be finite and >= 0, got nan", False, 1), ("error: no budget", False, 0)],
+)
+def test_parse_digests_run_exits_1_on_a_traceback_or_a_nan(monkeypatch, capsys, message, raises, status):
+    from enbcds import cli
+
+    def fail(argv):
+        if raises:
+            raise RuntimeError(message)
+        print(message, file=sys.stderr)
+        return 1
+
+    monkeypatch.setattr(cli, "main", fail)
+    assert _main("parse_digests.py")(["--run", "bundled:wifi-*"]) == status
+    err = capsys.readouterr().err.splitlines()
+    assert bool(err) == bool(status)
+    assert all(line.endswith("raised RuntimeError" if raises else message) for line in err)

@@ -31,7 +31,7 @@ from enbcds import (
     sample,
 )
 
-from enbcds.sensitivity import _draw_rng, _stats
+from enbcds.sensitivity import _draw_rng, _percentiles, _stats
 
 from oracles import (
     make_rng,
@@ -231,6 +231,19 @@ class TestHugeDraws:
         assert got.mean == pytest.approx(statistics.mean(want), rel=1e-12)
         assert got.std == pytest.approx(statistics.pstdev(want), rel=1e-9)
         assert got.p50 == pytest.approx(statistics.median(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_percentiles_match_numpy_linear_percentiles_bit_for_bit(seed):
+    rng = make_rng(seed)
+    for n in [*range(2, 41), 99, 100, 101, 299]:
+        values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-3, 4, n)
+        ties = rng.random(n) < 0.3  # ties among a few values, infinities among them
+        values[ties] = rng.choice([-np.inf, -1.0, 0.0, 2.5, np.inf], ties.sum())
+        with np.errstate(invalid="ignore"):  # inf - inf between two infinite neighbours
+            want = np.percentile(values, [5.0, 50.0, 95.0])
+        got = _percentiles(values.tolist(), (5.0, 50.0, 95.0))
+        assert [v.hex() for v in got] == [float(v).hex() for v in want], values
 
 
 class TestPointDegenerate:

@@ -10,6 +10,7 @@ GDFs, scored by the enumeration oracle, may beat the reported allocation.
 import dataclasses
 import functools
 import math
+import sys
 import time
 
 import numpy as np
@@ -27,7 +28,15 @@ from enbcds import (
     optimal_spend,
     restrict_portfolio,
 )
-from enbcds.optimize import _bisect_decreasing, _separable_marginal, _standalone_marginal, _water_fill
+from enbcds import optimize
+from enbcds.optimize import (
+    _bisect_decreasing,
+    _golden_max,
+    _root,
+    _separable_marginal,
+    _standalone_marginal,
+    _water_fill,
+)
 
 from oracles import (
     PARAMETRIC,
@@ -62,6 +71,20 @@ def inverse_marginal(x: Gdf, lam: float) -> float:
     return max(0.0, s)
 
 
+def closed_form_lam(gdfs: list[Gdf], budget: float) -> float:
+    """The shared marginal at which the closed-form spends sum to
+    ``budget``, by plain bisection down to adjacent floats."""
+    lo, hi = 0.0, max(closed_form_marginal(x, 0.0) for x in gdfs)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if sum(inverse_marginal(x, mid) for x in gdfs) > budget:
+            lo = mid
+        else:
+            hi = mid
+
+
 def single_attack_gdfs(seed: int, n: int) -> list[Gdf]:
     rng = make_rng(seed)
     return [
@@ -90,14 +113,22 @@ class TestRootFinderAgainstClosedForms:
         for x in gdfs:
             peak = inverse_marginal(x, 0.0)
             assert spends[x.id] == pytest.approx(inverse_marginal(x, lam), rel=1e-9, abs=1e-12 * peak)
+        assert lam == pytest.approx(closed_form_lam(gdfs, budget), rel=1e-11)
+        # and closed down to adjacent floats: one float below, the spends exceed the budget
+        peaks, _ = _water_fill(gdfs, None)
+
+        def used(at):
+            return sum(_root(_standalone_marginal(x), 0.0, peaks[x.id], at) for x in gdfs)
+
+        assert used(math.nextafter(lam, 0.0)) > budget >= used(lam)
 
     def test_returns_lo_when_target_is_not_above_fn_lo(self):
-        assert _bisect_decreasing(lambda s: 1.0 - s, 0.25, 2.0, 0.75) == 0.25
-        assert _bisect_decreasing(lambda s: 1.0 - s, 0.25, 2.0, 0.9) == 0.25
+        assert _root(lambda s: 1.0 - s, 0.25, 2.0, 0.75) == 0.25
+        assert _root(lambda s: 1.0 - s, 0.25, 2.0, 0.9) == 0.25
 
     def test_returns_hi_when_target_is_not_below_fn_hi(self):
-        assert _bisect_decreasing(lambda s: 1.0 - s, 0.0, 0.5, 0.5) == 0.5
-        assert _bisect_decreasing(lambda s: 1.0 - s, 0.0, 0.5, 0.4) == 0.5
+        assert _root(lambda s: 1.0 - s, 0.0, 0.5, 0.5) == 0.5
+        assert _root(lambda s: 1.0 - s, 0.0, 0.5, 0.4) == 0.5
 
     def test_smooth_root_to_tolerance_in_few_evaluations(self):
         calls = []
@@ -106,7 +137,7 @@ class TestRootFinderAgainstClosedForms:
             calls.append(s)
             return math.exp(-3.0 * s) - 0.2
 
-        root = _bisect_decreasing(fn, 0.0, 10.0, 0.0)
+        root = _root(fn, 0.0, 10.0, 0.0)
         assert root == pytest.approx(math.log(5.0) / 3.0, rel=1e-12)
         assert len(calls) <= 20
 
@@ -117,8 +148,22 @@ class TestRootFinderAgainstClosedForms:
         def fn(s):
             return level if s < 0.7 else -1.0
 
-        root = _bisect_decreasing(fn, 0.0, 1.0, 0.0)
+        root = _root(fn, 0.0, 1.0, 0.0)
         assert abs(root - 0.7) <= 1e-13
+
+    def test_a_nan_residual_is_bisected_past(self):
+        # the coupled objective's slope along a line reads NaN where its
+        # values overflow to -inf; a NaN secant step must not end in the root
+        def fn(s):
+            return 1.0 if s < 0.3 else math.nan if s < 0.6 else -1.0
+
+        assert abs(_root(fn, 0.0, 1.0, 0.0) - 0.3) <= 1e-13
+
+    @pytest.mark.parametrize("fn", [lambda s: math.exp(-3.0 * s) - 0.2, lambda s: 1.0 if s < 0.7 else -1.0])
+    def test_zero_tolerance_closes_on_adjacent_floats(self, fn):
+        a, b = _bisect_decreasing(fn, 0.0, 10.0, 0.0, 0.0)
+        assert fn(a) > 0.0 > fn(b)
+        assert b == math.nextafter(a, math.inf)
 
 
 TABLE_ATTACK = AttackType(
@@ -138,7 +183,7 @@ class TestRootFinderOnTable:
         m = _standalone_marginal(TABLE_GDF)
         lo, hi = 0.0, 9e4
         tol = 1e-13 * (hi - lo)  # the root finder's closing width
-        root = _bisect_decreasing(m, lo, hi, target)
+        root = _root(m, lo, hi, target)
         assert lo <= root <= hi
         assert abs(root - kink) <= tol
         eps = 1e-10 * (hi - lo)
@@ -146,7 +191,7 @@ class TestRootFinderOnTable:
 
     def test_target_on_a_plateau_lands_on_that_plateau(self):
         m = _standalone_marginal(TABLE_GDF)
-        root = _bisect_decreasing(m, 0.0, 5e4, -0.5)
+        root = _root(m, 0.0, 5e4, -0.5)
         tol = 1e-13 * 5e4
         assert 1e4 - tol <= root <= 3e4 + tol
         assert m(root) == pytest.approx(-0.5, abs=1e-12)
@@ -166,6 +211,20 @@ class TestRootFinderOnTable:
             if 0.0 < spends[x.id] < peaks[x.id]:
                 assert m(spends[x.id] - 1e-3) >= lam - 1e-9
                 assert m(spends[x.id] + 1e-3) <= lam + 1e-9
+
+    def test_budget_inside_a_jump_of_the_summed_spends_fills_the_plateau(self):
+        # marginals 1.5, -0.5, ... and 6.5, 0.5, ...: at lam above 0.5 both
+        # spends sit on the knot 1e4, below it the second moves to 3e4, so a
+        # budget of 3e4 leaves lam on the second GDF's plateau at 0.5
+        gdfs = [
+            dataclasses.replace(TABLE_GDF, id=f"tbl-{i}", attacks=(dataclasses.replace(TABLE_ATTACK, loss=loss),))
+            for i, loss in enumerate((1e5, 3e5))
+        ]
+        spends, lam = _water_fill(gdfs, 3e4)
+        assert lam == pytest.approx(0.5, rel=1e-12)
+        assert sum(spends.values()) == pytest.approx(3e4, rel=1e-12)
+        assert spends["tbl-0"] == pytest.approx(1e4, rel=1e-12)
+        assert 1e4 < spends["tbl-1"] < 3e4
 
 
 NO_ATTACK_GDF = Gdf(id="no-attacks", ben=1e3)
@@ -204,6 +263,22 @@ def test_water_fill_contract_from_zero_budget_to_the_summed_peaks(seed):
             spends, _ = _water_fill(gdfs, budget)
             assert all(math.isfinite(v) and v >= 0.0 for v in spends.values())
             assert sum(spends.values()) == pytest.approx(budget, rel=1e-12)
+
+
+def test_water_fill_root_finds_lam_in_a_few_dozen_passes(monkeypatch):
+    # 100 fixed halvings of lam would make 64 + 100 * 64 root-finder calls
+    gdfs = random_portfolio(make_rng(0), 64, padded=False).gdfs
+    peaks, _ = _water_fill(gdfs, None)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _bisect_decreasing(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_bisect_decreasing", counted)
+    spends, _ = _water_fill(gdfs, 0.5 * sum(peaks.values()))
+    assert sum(spends.values()) == pytest.approx(0.5 * sum(peaks.values()), rel=1e-12)
+    assert len(calls) <= 40 * 64
 
 
 # --------------------------------------------------------------------------
@@ -414,6 +489,33 @@ def test_difference_step_below_an_ulp_of_the_spend_reads_as_flat():
     r = allocate(p, budget=30.0 * oracle_f(a, 0.0))
     assert r.spends == slack.spends and r.spends["b"] == 0.0
     assert r.objective == slack.objective
+
+
+def test_an_attack_loss_of_the_largest_double_is_dropped_not_nan():
+    # that GDF's coupled objective overflows to -inf at large spends, where
+    # the slope that the line searches root-find reads NaN
+    p = random_portfolio(make_rng(0), 2, with_edges=True)
+    x = p.gdfs[0]
+    attacks = (x.attacks[0], dataclasses.replace(x.attacks[1], loss=sys.float_info.max), *x.attacks[2:])
+    p = dataclasses.replace(p, gdfs=(dataclasses.replace(x, attacks=attacks), *p.gdfs[1:]))
+    r = allocate(p)
+    assert r.dropped == {x.id}
+    assert all(math.isfinite(v) for v in r.spends.values())
+
+
+def test_golden_search_stops_where_the_floats_cannot_shrink_its_bracket():
+    # a budget transfer between two spends of 8e307 searches a bracket whose
+    # floats are 1e292 apart, against a tolerance of 1e-6 of a GDF's f(0),
+    # as in allocate on a coupled portfolio with the largest double as budget
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        assert len(calls) < 1000, "the search does not stop"
+        return -abs(t - 1e307)
+
+    t, _ = _golden_max(fn, -8e307, 8e307, 1e-3)
+    assert t == pytest.approx(1e307, rel=1e-15)
 
 
 @pytest.mark.parametrize("share", [0.02, 0.05])
