@@ -18,7 +18,9 @@ model's checks or the canonical writer leaves every outcome as it was.
 ``--run`` prints, in place of the parse digests, the outcome of running
 each strict-accepted document through the CLI in-process (the benchmark's
 ``call_cli``): ``--json allocate``, ``--json allocate --mode literal``,
-``--json report`` and ``--json sample --draws 3 --seed 0``, one line each,
+``--json report``, ``--json sample --draws 3 --seed 0`` and, when the
+document has a GDF, ``--json evaluate``, ``--json optimize`` and ``--json
+curve``, each with ``--gdf`` set to the first GDF's id; one line each,
 ``doc-id command sha256``, the hash of the stdout or of the failure.  A
 warning counts as raised, as in the test suite.  ``--dump`` and
 ``--against`` work as in ``op_digests.py``, on the run outputs.  Exits 1
@@ -63,6 +65,10 @@ RUNS = {  # --run: command name -> CLI arguments around the document's path
     "allocate-literal": ("allocate", "--mode", "literal"),
     "report": ("report",),
     "sample": ("sample", "--draws", "3", "--seed", "0"),
+    # run only on a document with a GDF, the first of which fills in {gdf}
+    "evaluate": ("evaluate", "--gdf={gdf}"),
+    "optimize": ("optimize", "--gdf={gdf}"),
+    "curve": ("curve", "--gdf={gdf}"),
 }
 
 
@@ -129,11 +135,15 @@ def outcome(text: str, lenient: bool) -> str:
     return hashlib.sha256((result + notes).encode("utf-8")).hexdigest()
 
 
-def run(text: str, path: str):
+def run(text: str, path: str, gdf: str | None):
     """(command, stdout text or ``{"failed": reason}``) for each of ``RUNS``
-    on the document ``text``, written to ``path``."""
+    on the document ``text``, written to ``path``, whose first GDF is
+    ``gdf`` (None: it has none, and the runs that name one are skipped)."""
     pathlib.Path(path).write_text(text, encoding="utf-8")
     for name, (command, *rest) in RUNS.items():
+        if gdf is None and any("{gdf}" in arg for arg in rest):
+            continue
+        rest = [arg.format(gdf=gdf) for arg in rest]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             error, out = call_cli(cli.main, ["--json", command, path, *rest])
@@ -174,10 +184,10 @@ def main(argv: list[str] | None = None) -> int:
                 continue
             for doc_id, doc_text in docs:
                 try:
-                    parse_scenario(doc_text)
+                    gdfs = parse_scenario(doc_text).portfolio.gdfs
                 except Exception:  # rejected: the parse digests cover it
                     continue
-                for name, result in run(doc_text, path):
+                for name, result in run(doc_text, path, gdfs[0].id if gdfs else None):
                     key = f"{doc_id} {name}"
                     if args.dump is not None:
                         outputs[key] = result

@@ -38,6 +38,7 @@ from .model import (
 )
 from .optimize import AllocationResult, OptimalSpend
 from .sensitivity import (
+    _PROB_FIELDS,
     Pert,
     Point,
     SensitivityError,
@@ -45,6 +46,7 @@ from .sensitivity import (
     UncertainParam,
     Uniform,
     _resolve_parent,
+    _targets_within,
     target_field,
 )
 
@@ -342,41 +344,17 @@ def _parse_uncertain(obj, path: str, lenient: bool) -> UncertainParam:
         raise ValidationError(f"{path}: {exc}", path=path) from exc
 
 
-# lowest value each uncertain target field accepts, and whether the bound
-# itself is allowed; probability fields are clamped per draw instead
-_FIELD_FLOORS = {
-    **dict.fromkeys(("budget", "ben", "dir_costs", "actual_spend", "loss", "cost"), (0.0, True)),
-    "alpha": (0.0, False),
-    "kappa": (0.0, False),
-    "beta": (1.0, True),
-    "uplift": (1.0, True),
-}
-
-
-def _check_support(param: UncertainParam, path: str) -> None:
-    """Reject a distribution whose support leaves its target field's domain."""
-    field = target_field(param.target)
-    floor = _FIELD_FLOORS.get(field)
-    if floor is None:
-        return
-    bound, inclusive = floor
-    # parameters are non-decreasing, so the first is the support's low end
-    low = getattr(param.distribution, param.distribution.__match_args__[0])
-    if low < bound or (low == bound and not inclusive):
-        raise ValidationError(
-            f"{path}: support of {param.target} reaches {low!r}, but {field} must be "
-            f"{'>=' if inclusive else '>'} {bound:g}",
-            path=path,
-        )
-
-
 def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
     """Parse and fully validate a scenario document.
 
     Raises ScenarioSyntaxError for malformed JSON (with line/column),
     SchemaError for structural problems (with the JSON path), and
-    ValidationError when values break domain rules.  ``lenient`` downgrades
-    unknown fields from errors to SchemaWarnings.
+    ValidationError when values break domain rules: every uncertainty
+    target must resolve, then a draw with each non-probability target at
+    its support's lower end must pass the checks every ``sample`` draw
+    passes, or the shallowest target inside the failing part (the first
+    such entry) is reported at its ``/uncertainty/<i>/distribution``.  ``lenient`` downgrades unknown
+    fields from errors to SchemaWarnings.
     """
     try:
         doc = json.loads(text)
@@ -400,14 +378,26 @@ def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
         _parse_uncertain(u, f"/uncertainty/{i}", lenient)
         for i, u in enumerate(_expect_list(doc.get("uncertainty", []), "/uncertainty"))
     ]
-    if uncertainty:
-        resolved_doc = {"portfolio": portfolio_to_dict(portfolio)}
-    for i, param in enumerate(uncertainty):
+    if uncertainty:  # every target resolves, then a draw at the lower ends passes
+        drawn = {"portfolio": portfolio_to_dict(portfolio)}
+        lows = {}  # target -> (index, lower end) of the last entry that writes it
+        for i, param in enumerate(uncertainty):
+            try:
+                container, key = _resolve_parent(drawn, param.target)
+            except SensitivityError as exc:
+                raise ValidationError(f"/uncertainty/{i}: {exc}", path=f"/uncertainty/{i}") from exc
+            if target_field(param.target) not in _PROB_FIELDS:  # those are clamped per draw
+                # parameters are non-decreasing, so the first is the lower end
+                container[key] = getattr(param.distribution, param.distribution.__match_args__[0])
+                lows[param.target] = i, container[key]
         try:
-            _resolve_parent(resolved_doc, param.target)
-        except SensitivityError as exc:
-            raise ValidationError(f"/uncertainty/{i}: {exc}", path=f"/uncertainty/{i}") from exc
-        _check_support(param, f"/uncertainty/{i}/distribution")
+            _parse_portfolio(drawn["portfolio"], "/portfolio", lenient=False)
+        except ValidationError as exc:
+            # a field of the failing object before a field of an object inside it
+            target = min(_targets_within(exc.path, list(lows)), key=lambda t: t.count("/"))
+            i, low = lows[target]
+            path = f"/uncertainty/{i}/distribution"
+            raise ValidationError(f"{path}: support of {target} reaches {low!r}: {exc}", path=path) from exc
     return ScenarioFile(
         schema_version=SCHEMA_VERSION,
         portfolio=portfolio,

@@ -306,6 +306,11 @@ def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
             found[lam] = {xid: _root(m, 0.0, peaks[xid], lam) for xid, m in marginals.items()}
         return sum(found[lam].values())
 
+    # above every marginal at half an even share, each spend is below that
+    # share, so that lam tops the bracket if its spends (to root width) fit
+    tight = max(m(0.5 * budget / len(marginals)) for m in marginals.values())
+    if 0.0 < tight < top and used(tight) <= budget:
+        top = tight
     lo, hi = _bisect_decreasing(used, 0.0, top, budget, 0.0)
     low, high = found[hi], found[lo]
     if lo == hi:  # the spends there use the budget exactly, or it is 0

@@ -174,6 +174,11 @@ def target_field(pointer: str) -> str:
     return "uplift" if parent == "uplift" else field
 
 
+def _targets_within(path: str, targets: list[str]) -> list[str]:
+    """The ``targets`` at or inside the document part at ``path``, or all."""
+    return [t for t in targets if (t + "/").startswith(path + "/")] or targets
+
+
 def _pointer_tokens(pointer: str) -> list[str]:
     return [t.replace("~1", "/").replace("~0", "~") for t in pointer.split("/")[1:]]
 
@@ -292,7 +297,8 @@ def sample(
     large draw counts cheap while exercising the identical sampling path.
     Draws run in index order, so a draw whose values break the portfolio's
     rules raises SensitivityError naming the lowest such draw index and the
-    targets drawn into the broken part.  ``threads`` is accepted for
+    targets drawn into the broken part (``parse_scenario`` runs this check
+    on a draw at every support's lower end).  ``threads`` is accepted for
     compatibility and changes nothing: draws always run in one thread.
     """
     from .io import SchemaError, ValidationError, portfolio_from_dict, portfolio_to_dict  # deferred: io imports this module
@@ -348,13 +354,9 @@ def sample(
         try:
             drawn = portfolio_from_dict(doc["portfolio"])
         except (SchemaError, ValidationError) as exc:
-            # name the drawn targets at or inside the part of the portfolio
-            # that failed: a non-finite draw fails at its own field
-            where = exc.path + "/"
-            targets = [p.target for p in params if (p.target + "/").startswith(where)]
-            raise SensitivityError(
-                f"draw {i}, target {', '.join(targets or (p.target for p in params))}: {exc}"
-            ) from exc
+            # name the drawn targets in the part of the portfolio that failed
+            targets = _targets_within(exc.path, [param.target for param in params])
+            raise SensitivityError(f"draw {i}, target {', '.join(targets)}: {exc}") from exc
         ctx = EvalContext(drawn, spends_used)
         for q, solve in solves.items():
             rows[q].extend(solve(ctx))

@@ -85,6 +85,22 @@ class TestExitCodes:
         assert main(["validate", str(path)]) == 1
         assert "/uncertainty/0/distribution" in capfd.readouterr().err
 
+    def test_uncertain_knot_that_breaks_its_table_fails_validation(self, tmp_path, capfd):
+        # at the support's lower end the last multiplier rises above the one before it
+        doc = json.loads(MINIMAL)
+        doc["portfolio"]["gdfs"][0]["attacks"] = [{
+            "id": "t", "baseline_prob": 0.4, "loss": 90.0,
+            "breach": {"family": "table", "knots": [[0, 1], [10, 0.5], [30, 0.25]]},
+        }]
+        target = "/portfolio/gdfs/0/attacks/0/breach/knots/2/1"
+        doc["uncertainty"] = [{"target": target, "distribution": {"kind": "uniform", "lo": 0.6, "hi": 0.9}}]
+        path = tmp_path / "knot.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: /uncertainty/0/distribution: support of {target} reaches 0.6: ")
+        assert err.rstrip().endswith("Table multipliers must be non-increasing")
+
     def test_invalid_draw_is_exit_1_naming_draw_and_target(self, tmp_path, capfd):
         doc = json.loads(MINIMAL)
         doc["portfolio"]["gdfs"][0]["attacks"] = [{

@@ -40,6 +40,8 @@ from enbcds import (
     serialize_scenario,
 )
 
+from enbcds.sensitivity import SensitivityError, UncertainParam, sample, target_field
+
 from oracles import make_rng, random_portfolio
 
 MINIMAL = """
@@ -122,6 +124,21 @@ def number_leaves(node, path=""):
             yield f"{path}/{key}"
         else:
             yield from number_leaves(child, f"{path}/{key}")
+
+
+def one_judge_document() -> dict:
+    """Every breach family, an adverse event, an actual spend, a budget and
+    an edge with uplifts, and no uncertainty."""
+    doc = json.loads(EVERY_VARIANT)
+    del doc["uncertainty"]
+    gdfs = doc["portfolio"]["gdfs"]
+    gdfs[0]["actual_spend"] = 20.0
+    gdfs[0]["adverse"] = [{"id": "storm", "prob": 0.1, "cost": 30.0}]
+    gdfs.append({"id": "up", "ben": 200.0, "dir_costs": 20.0, "attacks": [
+        {"id": "u", "baseline_prob": 0.2, "loss": 70.0, "breach": {"family": "exponential", "kappa": 0.02}},
+    ]})
+    doc["portfolio"]["edges"] = [{"source": "up", "target": "all", "uplift": {"gl1": 2.0, "tab": 1.5}}]
+    return doc
 
 
 def huge_number_documents():
@@ -354,6 +371,18 @@ class TestParseScenario:
         assert err.value.path == "/uncertainty/0/distribution"
         assert f"/portfolio/gdfs/0/{field}" in str(err.value)
 
+    def test_uncertain_support_names_the_failing_objects_own_field_first(self):
+        # a ben below 0 fails at the GDF, which also holds the loss target
+        doc = attack_doc()
+        doc["uncertainty"] = [
+            {"target": "/portfolio/gdfs/0/attacks/0/loss", "distribution": {"kind": "uniform", "lo": 1.0, "hi": 2.0}},
+            {"target": "/portfolio/gdfs/0/ben", "distribution": {"kind": "uniform", "lo": -1.0, "hi": 2.0}},
+        ]
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert err.value.path == "/uncertainty/1/distribution"
+        assert "support of /portfolio/gdfs/0/ben reaches -1.0: /portfolio/gdfs/0: " in str(err.value)
+
     def test_uncertain_uplift_below_one_rejected(self):
         doc = attack_doc()
         doc["portfolio"]["gdfs"].append({"id": "up", "ben": 10.0, "dir_costs": 1.0})
@@ -374,6 +403,33 @@ class TestParseScenario:
             {"target": "/portfolio/gdfs/0/attacks/0/baseline_prob", "distribution": {"kind": "uniform", "lo": -1.0, "hi": 2.0}},
         ]
         assert len(parse_scenario(json.dumps(doc)).uncertainty) == 4
+
+    def test_a_support_parses_exactly_when_a_draw_at_its_lower_end_passes(self):
+        doc = one_judge_document()
+        portfolio = parse_scenario(json.dumps(doc)).portfolio
+        targets = [
+            leaf for leaf in number_leaves(doc["portfolio"], "/portfolio")
+            if target_field(leaf) not in ("prob", "baseline_prob")
+        ]
+        assert any("/knots/" in t for t in targets) and any("/uplift/" in t for t in targets)
+        outcomes = set()
+        for target in targets:
+            for v in (-1.0, 0.0, 0.5, 1.0, 2.0):
+                doc["uncertainty"] = [{"target": target, "distribution": {"kind": "point", "value": v}}]
+                try:
+                    parse_scenario(json.dumps(doc))
+                    parsed = True
+                except ValidationError as exc:
+                    assert exc.path == DIST
+                    parsed = False
+                try:
+                    sample(portfolio, [UncertainParam(target, Point(v))], draws=1, seed=0, quantities=("enbcds",))
+                    sampled = True
+                except SensitivityError:
+                    sampled = False
+                assert parsed == sampled, (target, v)
+                outcomes.add(parsed)
+        assert outcomes == {True, False}
 
     def test_uncertainty_parses_into_distributions(self):
         doc = minimal_doc()

@@ -96,15 +96,15 @@ def test_parse_digests_prints_both_modes_of_every_mutation(capsys):
     assert rows[0][2] == rows[1][2] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def test_parse_digests_run_digests_four_commands_per_accepted_document(tmp_path, capsys):
+def test_parse_digests_run_digests_every_command_per_accepted_document(tmp_path, capsys):
     main, dump = _main("parse_digests.py"), tmp_path / "runs.json"
     argv = ["--run", "bundled:wifi-*"]
     assert main(argv + ["--dump", str(dump)]) == 0
     rows = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
     assert all(len(row) == 3 and len(row[2]) == 64 for row in rows)
-    commands = ["allocate", "allocate-literal", "report", "sample"]
-    assert [row[1] for row in rows] == commands * (len(rows) // 4)
-    ids = [row[0] for row in rows[::4]]
+    commands = ["allocate", "allocate-literal", "report", "sample", "evaluate", "optimize", "curve"]
+    assert [row[1] for row in rows] == commands * (len(rows) // 7)
+    ids = [row[0] for row in rows[::7]]
     assert ids[0] == "bundled:wifi-thermostats" and len(set(ids)) == len(ids) > 20
     outputs = json.loads(dump.read_text())
     assert sorted(outputs) == sorted(f"{row[0]} {row[1]}" for row in rows)
@@ -120,6 +120,13 @@ def test_parse_digests_run_digests_four_commands_per_accepted_document(tmp_path,
     moved, missing = capsys.readouterr().out.splitlines()
     assert moved.startswith(key + " ") and moved.endswith(" /objective")
     assert missing == f"{ids[1]} report missing from the dump"
+
+
+def test_parse_digests_run_skips_the_commands_naming_a_gdf_without_one(tmp_path):
+    run = runpy.run_path(str(SCRIPTS / "parse_digests.py"))["run"]
+    text = json.dumps({"schema_version": 1, "portfolio": {"budget": None, "gdfs": []}})
+    names = [name for name, _ in run(text, str(tmp_path / "empty.json"), None)]
+    assert names == ["allocate", "allocate-literal", "report", "sample"]
 
 
 @pytest.mark.parametrize(

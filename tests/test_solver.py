@@ -281,6 +281,35 @@ def test_water_fill_root_finds_lam_in_a_few_dozen_passes(monkeypatch):
     assert len(calls) <= 40 * 64
 
 
+def test_water_fill_closes_lam_under_a_marginal_hundreds_of_orders_above_it():
+    # beta 1e300 puts one m(0) hundreds of orders above lam, so a bracket
+    # topped there is still open after the root finder's guard
+    gdfs = list(random_portfolio(make_rng(2), 6, padded=False).gdfs)
+    steep = dataclasses.replace(gdfs[0].attacks[0], breach=GordonLoebI(alpha=5e-6, beta=1e300))
+    gdfs[0] = dataclasses.replace(gdfs[0], attacks=(steep, *gdfs[0].attacks[1:]))
+    peaks, _ = _water_fill(gdfs, None)
+    budget = 0.5 * sum(peaks.values())
+    spends, lam = _water_fill(gdfs, budget)
+    assert lam < 10.0
+    assert sum(spends.values()) == pytest.approx(budget, rel=1e-12)
+    interior = [x for x in gdfs if 0.0 < spends[x.id] < peaks[x.id]]
+    assert len(interior) >= 2
+    for x in interior:
+        assert _separable_marginal(x, spends[x.id], lam) == pytest.approx(lam, rel=1e-9)
+
+
+def test_water_fill_never_spends_past_a_tiny_budget():
+    # at these shares a spend's root-find width can exceed the share, so
+    # the bracket's tightened top holds only if its spends fit the budget
+    for seed in range(40):
+        gdfs = random_portfolio(make_rng(seed), 8, padded=False).gdfs
+        peaks, _ = _water_fill(gdfs, None)
+        for share in (1e-15, 1e-13, 1e-11, 1e-9):
+            budget = share * sum(peaks.values())
+            spends, _ = _water_fill(gdfs, budget)
+            assert sum(spends.values()) <= budget * (1.0 + 1e-12)  # the theta mix may round up
+
+
 # --------------------------------------------------------------------------
 # KKT certificate of an edge-free allocation mixing Table and parametric GDFs
 
