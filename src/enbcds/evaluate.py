@@ -341,7 +341,7 @@ def enbcds_curve(
     """
     if n_samples < 2:
         raise DegenerateRangeError(f"n_samples must be >= 2, got {n_samples}")
-    _upstream(x, context)  # an unknown GDF fails before a bad window
+    net = _net_curve(x, context)  # an unknown GDF fails before a bad window
     if s_max is None:
         f0 = expected_cyber_cost(x, 0.0, context)
         s_max = f0 if f0 > 0.0 else 1.0
@@ -354,7 +354,7 @@ def enbcds_curve(
     samples = []
     for i in range(n_samples):
         s = s_max if i == n_samples - 1 else i * step
-        samples.append((s, enb(x, s, context)))
+        samples.append((s, net(s)))
 
     from .optimize import optimal_spend  # local import: optimize builds on this module
 

@@ -202,8 +202,8 @@ class _Record:
     is written as is, or a :class:`_Codec`, :class:`_Record` or
     :class:`_TaggedUnion`.  The default is ``_REQUIRED``, ``_OPTIONAL``, or
     a function of the fields read before it.  A variant of a tagged union
-    writes its ``head``, the ``{tag: value}`` pair, first.  Model errors
-    from the class name the object's path."""
+    writes its ``head``, the ``{tag: value}`` pair, first.  Model and
+    distribution errors from the class name the object's path."""
 
     def __init__(self, cls: type, table, head: dict | None = None):
         self.cls, self.head = cls, head or {}
@@ -228,7 +228,7 @@ class _Record:
                 kwargs[name] = default(kwargs)
         try:
             return self.cls(**kwargs)
-        except ModelError as exc:
+        except (ModelError, SensitivityError) as exc:
             raise ValidationError(f"{path}: {exc}", path=path) from exc
 
     def to_dict(self, value) -> dict:
@@ -316,6 +316,10 @@ _EDGE = _Record(DependencyEdge, [
     ("target", _expect_string, _REQUIRED),
     ("uplift", _UPLIFT, _REQUIRED),
 ])
+_UNCERTAINTY = _list_of(_Record(UncertainParam, [
+    ("target", _expect_string, _REQUIRED),
+    ("distribution", _DISTRIBUTION, _REQUIRED),
+]))
 _PORTFOLIO = _Record(Portfolio, [
     ("budget", _expect_optional_number, _REQUIRED),  # null = unconstrained
     ("gdfs", _list_of(_GDF), _REQUIRED),
@@ -331,17 +335,6 @@ def _parse_portfolio(obj, path: str, lenient: bool) -> Portfolio:
         detail = "; ".join(f"{v.where}: {v.message}" for v in exc.violations)
         raise ValidationError(f"{path}: {detail}", path=path) from exc
     return portfolio
-
-
-def _parse_uncertain(obj, path: str, lenient: bool) -> UncertainParam:
-    obj = _expect_dict(obj, path)
-    _check_unknown(obj, {"target", "distribution"}, path, lenient)
-    target = _expect_string(_get(obj, "target", path), f"{path}/target")
-    try:
-        distribution = _DISTRIBUTION.parse(_get(obj, "distribution", path), f"{path}/distribution", lenient)
-        return UncertainParam(target=target, distribution=distribution)
-    except SensitivityError as exc:
-        raise ValidationError(f"{path}: {exc}", path=path) from exc
 
 
 def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
@@ -374,10 +367,7 @@ def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
     title = _expect_string(meta.get("title", ""), "/metadata/title")
     notes = _expect_string(meta.get("notes", ""), "/metadata/notes")
     portfolio = _parse_portfolio(_get(doc, "portfolio", ""), "/portfolio", lenient)
-    uncertainty = [
-        _parse_uncertain(u, f"/uncertainty/{i}", lenient)
-        for i, u in enumerate(_expect_list(doc.get("uncertainty", []), "/uncertainty"))
-    ]
+    uncertainty = _UNCERTAINTY.parse(doc.get("uncertainty", []), "/uncertainty", lenient)
     if uncertainty:  # every target resolves, then a draw at the lower ends passes
         drawn = {"portfolio": portfolio_to_dict(portfolio)}
         lows = {}  # target -> (index, lower end) of the last entry that writes it
@@ -387,8 +377,7 @@ def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
             except SensitivityError as exc:
                 raise ValidationError(f"/uncertainty/{i}: {exc}", path=f"/uncertainty/{i}") from exc
             if target_field(param.target) not in _PROB_FIELDS:  # those are clamped per draw
-                # parameters are non-decreasing, so the first is the lower end
-                container[key] = getattr(param.distribution, param.distribution.__match_args__[0])
+                container[key] = param.distribution.lo
                 lows[param.target] = i, container[key]
         try:
             _parse_portfolio(drawn["portfolio"], "/portfolio", lenient=False)
@@ -423,10 +412,7 @@ def serialize_scenario(sf: ScenarioFile) -> str:
         "schema_version": sf.schema_version,
         "metadata": {"title": sf.title, "notes": sf.notes},
         "portfolio": portfolio_to_dict(sf.portfolio),
-        "uncertainty": [
-            {"target": u.target, "distribution": _DISTRIBUTION.to_dict(u.distribution)}
-            for u in sf.uncertainty
-        ],
+        "uncertainty": _UNCERTAINTY.to_dict(sf.uncertainty),
     }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 

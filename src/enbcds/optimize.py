@@ -291,7 +291,8 @@ def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
     down to adjacent floats.  The spends found at its final bracket's upper
     end sum to at most the budget and those at its lower end to more; the
     spends ``theta`` of the way from the first to the second sum to the
-    budget, and fill Table plateaus.
+    budget (or, rounded above it, lower ``theta`` to where they fit), and
+    fill Table plateaus.
     """
     marginals = {x.id: _standalone_marginal(x) for x in gdfs}
     peaks = {x.id: _root(marginals[x.id], 0.0, expected_cyber_cost(x, 0.0), 0.0) for x in gdfs}
@@ -316,8 +317,14 @@ def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
     if lo == hi:  # the spends there use the budget exactly, or it is 0
         return low, hi
     sum_low = sum(low.values())
+
+    def mix(t: float) -> dict[str, float]:
+        return {xid: low[xid] + t * (high[xid] - low[xid]) for xid in low}
+
     theta = (budget - sum_low) / (sum(high.values()) - sum_low)
-    return {xid: low[xid] + theta * (high[xid] - low[xid]) for xid in low}, hi
+    if sum(mix(theta).values()) > budget:  # rounded up: the lower end of a closed bracket fits
+        theta, _ = _bisect_decreasing(lambda t: -sum(mix(t).values()), 0.0, theta, -budget, 0.0)
+    return mix(theta), hi
 
 
 def _interior(

@@ -7,7 +7,9 @@ benefit at given spends, per-GDF optimal spend, allocation objective, and
 per-GDF drop frequency.
 
 Draws use counter-based substreams keyed by (seed, draw index), so each
-draw's values depend only on the seed and its index.  Draws run one after
+draw's values depend only on the seed and its index.  Every distribution
+draws ``lo + (hi - lo)·u`` with ``u`` on [0, 1] and a finite span, so each
+draw is a finite number inside its support.  Draws run one after
 another in the calling thread: the solves are pure Python and hold the
 interpreter lock, so a thread pool ran no faster.  Sampled values landing
 outside [0, 1] for probability fields are clamped, and the clamp events are
@@ -62,8 +64,9 @@ class InvalidDistributionError(SensitivityError):
 
 
 class _Parameters:
-    """The one check of every distribution: each parameter is a finite
-    number, and the parameters are non-decreasing in field order."""
+    """The one check and the one draw of every distribution: each parameter
+    is a finite number, the parameters are non-decreasing in field order,
+    and the support ``[lo, hi]`` has a finite width."""
 
     def __post_init__(self):
         names = self.__match_args__  # the dataclass fields, in order
@@ -83,14 +86,22 @@ class _Parameters:
                 f"{type(self).__name__.lower()} needs {' <= '.join(names)}, "
                 f"got ({', '.join(map(str, values))})"
             )
+        if not math.isfinite(self.hi - self.lo):
+            raise InvalidDistributionError(f"hi - lo must be finite, got {self.hi - self.lo!r}")
+
+    def sample(self, rng: np.random.Generator) -> float:
+        """``lo`` when ``lo == hi``, else ``lo + (hi - lo)·u`` with ``u`` the
+        class's draw on [0, 1], cut at ``hi`` against rounding up: every
+        draw is a finite number inside the support."""
+        if self.lo == self.hi:
+            return self.lo
+        return min(self.hi, self.lo + (self.hi - self.lo) * self._unit(rng))
 
 
 @dataclass(frozen=True)
 class Point(_Parameters):
     value: float
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.value
+    lo = hi = property(lambda self: self.value)  # a one-point support: it draws no random number
 
     def mean(self) -> float:
         return self.value
@@ -101,10 +112,8 @@ class Uniform(_Parameters):
     lo: float
     hi: float
 
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.lo == self.hi:
-            return self.lo
-        return float(rng.uniform(self.lo, self.hi))
+    def _unit(self, rng: np.random.Generator) -> float:
+        return rng.random()
 
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -116,10 +125,8 @@ class Triangular(_Parameters):
     mode: float
     hi: float
 
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.lo == self.hi:
-            return self.lo
-        return float(rng.triangular(self.lo, self.mode, self.hi))
+    def _unit(self, rng: np.random.Generator) -> float:
+        return rng.triangular(0.0, (self.mode - self.lo) / (self.hi - self.lo), 1.0)
 
     def mean(self) -> float:
         return (self.lo + self.mode + self.hi) / 3.0
@@ -133,13 +140,9 @@ class Pert(_Parameters):
     mode: float
     hi: float
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def _unit(self, rng: np.random.Generator) -> float:
         span = self.hi - self.lo
-        if span == 0.0:
-            return self.lo
-        a = 1.0 + 4.0 * (self.mode - self.lo) / span
-        b = 1.0 + 4.0 * (self.hi - self.mode) / span
-        return self.lo + span * float(rng.beta(a, b))
+        return rng.beta(1.0 + 4.0 * (self.mode - self.lo) / span, 1.0 + 4.0 * (self.hi - self.mode) / span)
 
     def mean(self) -> float:
         return (self.lo + 4.0 * self.mode + self.hi) / 6.0
@@ -289,10 +292,11 @@ def sample(
     """Redraw uncertain parameters ``draws`` times and aggregate the results.
 
     Each draw gets its own counter-based substream keyed by (seed, index),
-    samples every parameter in order, writes the values (probability fields
-    clamped to [0, 1]) into one document of the portfolio whose targets were
-    resolved once, rebuilds and revalidates the portfolio from it, and
-    computes the requested ``quantities``.  Restricting ``quantities`` to
+    samples every parameter in order (each a finite number inside its
+    support), writes the values (probability fields clamped to [0, 1]) into
+    one document of the portfolio whose targets were resolved once, rebuilds
+    and revalidates the portfolio from it, and computes the requested
+    ``quantities``.  Restricting ``quantities`` to
     ``("params",)`` skips portfolio rebuilds and solves, which makes very
     large draw counts cheap while exercising the identical sampling path.
     Draws run in index order, so a draw whose values break the portfolio's
@@ -301,7 +305,7 @@ def sample(
     on a draw at every support's lower end).  ``threads`` is accepted for
     compatibility and changes nothing: draws always run in one thread.
     """
-    from .io import SchemaError, ValidationError, portfolio_from_dict, portfolio_to_dict  # deferred: io imports this module
+    from .io import ValidationError, portfolio_from_dict, portfolio_to_dict  # deferred: io imports this module
 
     draws = int(draws)
     if draws < 1:
@@ -353,7 +357,7 @@ def sample(
             continue
         try:
             drawn = portfolio_from_dict(doc["portfolio"])
-        except (SchemaError, ValidationError) as exc:
+        except ValidationError as exc:
             # name the drawn targets in the part of the portfolio that failed
             targets = _targets_within(exc.path, [param.target for param in params])
             raise SensitivityError(f"draw {i}, target {', '.join(targets)}: {exc}") from exc

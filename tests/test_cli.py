@@ -409,6 +409,20 @@ class TestSample:
         assert captured.err.startswith(error)
         assert os.listdir(tmp_path) == ["s.json"]
 
+    def test_a_probability_support_reaching_1e300_draws_above_one(self, tmp_path, capfd):
+        # every draw of a baseline on [0.45, 1e300] is clamped down to 1;
+        # numpy's triangular on that support drew -inf, clamped up to 0
+        doc = json.loads(bundled_scenario_text("three-gdfs-comparison"))
+        doc["uncertainty"][0]["distribution"]["hi"] = 1e300
+        target = doc["uncertainty"][0]["target"]
+        assert target.endswith("/baseline_prob")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--json", "sample", str(path), "--draws", "3", "--seed", "0"]) == 0
+        payload = json.loads(capfd.readouterr().out)
+        assert payload["param_stats"][target]["mean"] == 1.0
+        assert payload["clamp_events"][target] == 3
+
     def test_threads_flag_does_not_change_output(self, scada_file, capfd):
         base = ["sample", scada_file, "--draws", "12", "--seed", "9"]
         assert main(base) == 0

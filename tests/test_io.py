@@ -273,6 +273,19 @@ class TestParseScenario:
         with pytest.raises(ValidationError):
             parse_scenario(json.dumps(doc))
 
+    def test_distribution_span_past_the_largest_double_rejected_at_the_distribution(self):
+        # a probability target is exempt from the lower-end draw, so only the
+        # distribution's own span rule can refuse this document
+        doc = attack_doc()
+        doc["uncertainty"] = [{
+            "target": "/portfolio/gdfs/0/attacks/0/baseline_prob",
+            "distribution": {"kind": "uniform", "lo": -1e308, "hi": 1e308},
+        }]
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(json.dumps(doc))
+        assert err.value.path == DIST
+        assert str(err.value) == f"{DIST}: hi - lo must be finite, got inf"
+
     @pytest.mark.parametrize(
         "pointer,value,error,path",
         [
@@ -305,7 +318,7 @@ class TestParseScenario:
             pytest.param(f"{BREACH}/beta", 0.5, ValidationError, BREACH, id="breach-out-of-domain"),
             pytest.param(BREACH, {"family": "table", "knots": [[1, 1]]}, ValidationError, BREACH,
                          id="table-out-of-domain"),
-            pytest.param(f"{DIST}/lo", 3.0, ValidationError, "/uncertainty/0", id="distribution-out-of-order"),
+            pytest.param(f"{DIST}/lo", 3.0, ValidationError, DIST, id="distribution-out-of-order"),
             pytest.param("/portfolio/gdfs/0/attacks", {}, SchemaError, "/portfolio/gdfs/0/attacks",
                          id="attacks-not-an-array"),
             pytest.param("/portfolio/gdfs/0/mandatory", 1, SchemaError, "/portfolio/gdfs/0/mandatory",
