@@ -258,12 +258,10 @@ class CoupledTotal:
     summing ``enb`` over ``p.gdfs``, but without a context per call: one
     pass over the topological order computes each GDF's attack
     probabilities once and reuses them for both its own net benefit and its
-    children's fold.  The optimizer probes it tens of thousands of times,
-    mostly moving one or two spends at a time, so each GDF also keeps its
-    inputs (own spend, parents' compromise probabilities) and results from
-    the previous call and recomputes only when an input changed: only the
-    moved GDFs and their descendants are re-folded.  :meth:`values` returns
-    the per-GDF net benefits that the sum is made of.
+    children's fold.  :meth:`values` returns the per-GDF net benefits that
+    the sum is made of.  The optimizer probes the sum along lines that move
+    one or two spends, each tens of times; :meth:`line` walks once and then
+    refolds, per probe, only the moved GDFs and their descendants.
     """
 
     def __init__(self, p: Portfolio, mode: str = ADDITIVE):
@@ -280,7 +278,6 @@ class CoupledTotal:
         )
         self._ids = tuple(x.id for x in p.gdfs)
         self._mode = mode
-        self._last: dict[str, tuple] = {}
 
     def __call__(self, spends: Mapping[str, float]) -> float:
         values = self.values(spends)
@@ -289,22 +286,49 @@ class CoupledTotal:
     def values(self, spends: Mapping[str, float]) -> dict[str, float]:
         """Net benefit of each GDF at ``spends``, keyed by GDF id; equal, bit
         for bit, to ``enb(x, spends[x.id], EvalContext(p, spends, mode))``."""
-        q: dict[str, float] = {}
+        return self._walk(spends, {})
+
+    def _walk(self, spends: Mapping[str, float], q: dict[str, float]) -> dict[str, float]:
         values: dict[str, float] = {}
-        last = self._last
         for gid, x, parents, fixed in self._steps:
-            s = spends[gid]
-            key = (s, *[q[edge.source] for edge in parents])
-            seen = last.get(gid)
-            if seen is not None and seen[0] == key:
-                q[gid], values[gid] = seen[1], seen[2]
-                continue
-            if not 0.0 <= s < math.inf:
-                raise ValueError(f"spend for {gid!r} must be finite and >= 0, got {s!r}")
-            cost, q[gid] = _fold_gdf(x, s, parents, q, self._mode)
-            values[gid] = fixed - cost
-            last[gid] = (key, q[gid], values[gid])
+            values[gid] = self._fold(gid, x, spends[gid], parents, fixed, q)
         return values
+
+    def _fold(self, gid: str, x: Gdf, s: float, parents, fixed: float, q: dict[str, float]) -> float:
+        """Net benefit of ``x`` at spend ``s``; records its compromise
+        probability in ``q``, which holds its parents'."""
+        if not 0.0 <= s < math.inf:
+            raise ValueError(f"spend for {gid!r} must be finite and >= 0, got {s!r}")
+        cost, q[gid] = _fold_gdf(x, s, parents, q, self._mode)
+        return fixed - cost
+
+    def line(self, spends: Mapping[str, float], moved: tuple[str, ...]) -> Callable[..., float]:
+        """``(*s) -> self({**spends, **dict(zip(moved, s))})``, bit for bit.
+
+        One walk at ``spends`` gives every GDF's value and compromise
+        probability; each probe then refolds only the ``moved`` GDFs and
+        their descendants, upstream first, and sums the values in portfolio
+        order, as :meth:`__call__` does.
+        """
+        q: dict[str, float] = {}
+        base = self._walk(spends, q)
+        slot = {gid: i for i, gid in enumerate(self._ids)}
+        arg = {gid: k for k, gid in enumerate(moved)}
+        touched: set[str] = set()
+        steps = []
+        for gid, x, parents, fixed in self._steps:
+            if gid in arg or any(edge.source in touched for edge in parents):
+                touched.add(gid)
+                steps.append((gid, x, parents, fixed, arg.get(gid), spends[gid], slot[gid]))
+        vals = [base[gid] for gid in self._ids]
+        fold = self._fold
+
+        def probe(*s: float) -> float:
+            for gid, x, parents, fixed, k, own, i in steps:
+                vals[i] = fold(gid, x, own if k is None else s[k], parents, fixed, q)
+            return sum(vals)
+
+        return probe
 
 
 @dataclass(frozen=True)
@@ -361,7 +385,7 @@ def enbcds_curve(
     best = optimal_spend(x, context=context, upper=s_max)
     s_star, peak_value = best.s_star, best.value
     grid_s, grid_v = max(samples, key=lambda sv: sv[1])
-    # the golden search assumes one peak; the literal mode, and an uplift
+    # the line search assumes one peak; the literal mode, and an uplift
     # clamp that binds on part of the window, can give the curve two
     if grid_v > peak_value:
         s_star, peak_value = grid_s, grid_v

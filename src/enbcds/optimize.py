@@ -3,9 +3,9 @@
 Single-GDF: spending more than the zero-spend expected loss ``f(0)`` is
 always dominated (``f(s) >= s``), so the peak lives in ``[0, f(0)]``.  One
 path finds it in both evaluation modes: scan a grid, polish the best cell's
-bracket by golden-section search, and keep the best of that point, the grid
-point and both ends.  The additive curve is concave in spend, so its grid is
-the two ends alone.
+bracket by Brent's line maximizer (golden-section and parabolic steps), and
+keep the best of that point, the grid point and both ends.  The additive
+curve is concave in spend, so its grid is the two ends alone.
 
 Portfolio: maximize the summed net benefit subject to a shared budget.
 Without dependency edges the problem is separable and concave, so
@@ -20,11 +20,12 @@ Non-mandatory GDFs whose coupled net benefit is negative at their
 allocated spend are dropped, their budget freed, and the program re-solved
 until the drop set is stable.  With edges the coupled objective is polished
 by line searches along one spend and along budget transfers between two
-GDFs: each scores a golden-section point, the root of the slope along the
-line (found by the same root finder) and both ends, and keeps the best
-only if it raises the objective.  Sweeps go on until the objective stalls
-and the KKT certificate is tight.  Every slope of the coupled objective
-is one central difference cut to its domain, ``_slope``.
+GDFs: each scores the point Brent's maximizer finds, the root of the slope
+along the line (found by the same root finder) and both ends, and keeps the
+best only if it raises the objective.  A line's probes refold only the GDFs
+it moves and their descendants (``CoupledTotal.line``).  Sweeps go on until
+the objective stalls and the KKT certificate is tight.  Every slope of the
+coupled objective is one central difference cut to its domain, ``_slope``.
 
 The literal evaluation mode breaks concavity, so the single-GDF solver
 scans 2001 grid points there, and the allocator picks each round's spends
@@ -56,7 +57,7 @@ __all__ = [
     "marginal_spread",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section step, as a share of the bracket
 _ROOT_ITERS = 100  # guards the root finder's loop; its tolerance ends it first
 _GRID_STEPS = 512  # budget cells of the literal-mode grid search
 
@@ -78,25 +79,75 @@ class OptimalSpend(NamedTuple):
     value: float
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximizer for a unimodal ``fn`` on ``[lo, hi]``.  Stops
-    at width ``tol``, or where the bracket's floats are too coarse to shrink
-    it further: with a ``tol`` below their spacing it would never stop."""
+def _brent_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Brent's bounded maximizer for a unimodal ``fn`` on ``[lo, hi]``: the
+    best point it evaluated, within ``tol`` of the peak, and its value.
+
+    Golden-section steps, and a parabola through the three best points
+    wherever its vertex lies well inside the bracket and moves less than
+    half the step before last (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5).  No step is shorter than ``tol / 3`` plus
+    two float spacings at the current point ``x``, so a bracket whose floats
+    are coarser than ``tol``, subnormals included, still closes: it stops
+    once neither end is further than twice that from ``x``.  A NaN reads as
+    ``-inf``, a parabola through a point at ``-inf`` is never used, and a
+    tie goes to the lower point, so a curve that overflows above its peak is
+    cut away like any lower value.
+    """
     a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol and a < c and d < b:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fn(x)
+    if fx != fx:
+        fx = -math.inf
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        m = a + 0.5 * (b - a)  # a + b can overflow
+        tol1 = tol / 3.0 + 2.0 * math.ulp(x)
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            # the vertex of the parabola through (x, fx), (w, fw), (v, fv) is
+            # x + p / q; a non-finite value makes p or q non-finite, and the
+            # comparisons below then fail
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            last, e = e, d
+            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                golden = False
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if x < m else -tol1
+        if golden:
+            e = (b - x) if x < m else (a - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = fn(u)
+        if fu != fu:
+            fu = -math.inf
+        if fu > fx or (fu == fx and u < x):  # a tie goes to the lower point
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    mid = 0.5 * (a + b)
-    return mid, fn(mid)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _bisect_decreasing(
@@ -218,10 +269,11 @@ def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | Non
 
     Searches ``[0, upper]`` (default ``upper = f(0)``, which contains the
     peak by the dominated-spend bound): scan ``n`` evenly spaced points,
-    golden-section search the two cells around the best to an absolute
-    tolerance of 1e-6 * upper, and keep the best of both ends, the scanned
-    point and the golden point, so boundary optima come back exact.  ``n``
-    is 2 for the one-peaked additive curve and 2001 in literal mode.
+    search the two cells around the best with Brent's maximizer to an
+    absolute tolerance of 1e-6 * upper, and keep the best of both ends, the
+    scanned point and the searched point, so boundary optima come back
+    exact.  ``n`` is 2 for the one-peaked additive curve and 2001 in literal
+    mode.
     """
     if upper is None:
         upper = expected_cyber_cost(x, 0.0, context)
@@ -237,8 +289,8 @@ def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | Non
     step = upper / (n - 1)
     grid = [(i * step, objective(i * step)) for i in range(n)]
     k = max(range(n), key=lambda i: grid[i][1])
-    golden = _golden_max(objective, grid[max(0, k - 1)][0], grid[min(n - 1, k + 1)][0], 1e-6 * upper)
-    candidates = [grid[0], golden, grid[k], (upper, objective(upper))]
+    searched = _brent_max(objective, grid[max(0, k - 1)][0], grid[min(n - 1, k + 1)][0], 1e-6 * upper)
+    candidates = [grid[0], searched, grid[k], (upper, objective(upper))]
     return OptimalSpend(*max(candidates, key=lambda c: c[1]))
 
 
@@ -358,33 +410,44 @@ def _refine_with_edges(
 
     Every move is one line search: along one spend on ``[0, top]``, where
     ``top`` is what the budget leaves it, and along a budget transfer
-    ``s_x - d, s_y + d`` on ``[-s_y, s_x]``.  The search scores the golden
-    point, the root of the objective's slope along the line (a central
-    difference, cut to the line) and both ends, and moves to the best only
-    if it beats the current objective, so sweeps never lower it.  A spend
-    the budget leaves no room to raise by more than the search tolerance
-    gets no move of its own: lowering it is a transfer.  Sweeps stop when
-    one gains at most 1e-9 * scale, unless the relative spread of the
-    interior marginals that the KKT certificate compares is still above
-    1e-5 and the last stalled sweep at least halved it.
+    ``s_x - d, s_y + d`` on ``[-s_y, s_x]``.  The search scores the point
+    that Brent's maximizer finds, the root of the objective's slope along
+    the line (a central difference, cut to the line) and both ends, and
+    moves to the best only if it beats the current objective, so sweeps
+    never lower it.  Its probes go through one ``CoupledTotal.line``, which
+    refolds only the moved GDFs and their descendants.  A spend the budget
+    leaves no room to raise by more than the search tolerance gets no move
+    of its own: lowering it is a transfer.  Sweeps stop when one gains at
+    most 1e-9 * scale, unless the relative spread of the interior marginals
+    that the KKT certificate compares is still above 1e-5 and the last
+    stalled sweep at least halved it.
     """
     ids = [x.id for x in sub.gdfs]
     f0 = {x.id: expected_cyber_cost(x, 0.0) for x in sub.gdfs}
     cap = 1.0 + sum(a.loss for x in sub.gdfs for a in x.attacks)
     obj = objective(spends)
 
-    def search(point: Callable[[float], dict[str, float]], lo: float, hi: float, h: float, tol: float) -> float:
-        def along(t: float) -> float:
-            return objective(point(t))
+    def search(
+        moved: tuple[str, ...], at: Callable[[float], tuple[float, ...]], lo: float, hi: float, h: float, tol: float
+    ) -> float:
+        line = objective.line(spends, moved)
 
-        best_t, best_v = _golden_max(along, lo, hi, tol)
-        root = _root(lambda t: _slope(along, t, lo, hi, h), lo, hi, 0.0)
-        for t in {root, lo, hi} - {best_t}:
-            v = along(t)
+        def along(t: float) -> float:
+            return line(*at(t))
+
+        v_lo, v_hi = along(lo), along(hi)
+
+        def value(t: float) -> float:  # each end is scored once
+            return v_lo if t == lo else v_hi if t == hi else along(t)
+
+        best_t, best_v = _brent_max(along, lo, hi, tol)
+        root = _root(lambda t: _slope(value, t, lo, hi, h), lo, hi, 0.0)
+        for t in (root, lo, hi):
+            v = value(t)
             if v > best_v:
                 best_t, best_v = t, v
         if best_v > obj:
-            spends.update(point(best_t))
+            spends.update(zip(moved, at(best_t)))
             return best_v
         return obj
 
@@ -403,7 +466,7 @@ def _refine_with_edges(
             top = cap if budget is None else min(cap, max(0.0, budget - others))
             tol = 1e-6 * max(f0[xid], 1e-6 * top, 1e-12)
             if top - spends[xid] > tol:
-                obj = search(lambda t: {**spends, xid: t}, 0.0, top, _step(f0[xid], scale), tol)
+                obj = search((xid,), lambda t: (t,), 0.0, top, _step(f0[xid], scale), tol)
         for i, xid in enumerate(ids):
             for yid in ids[i + 1 :]:
                 sx, sy = spends[xid], spends[yid]
@@ -411,7 +474,7 @@ def _refine_with_edges(
                     continue
                 h = _step(min(f0[xid], f0[yid]), scale)
                 tol = 1e-6 * max(f0[xid], f0[yid], 1e-12)
-                obj = search(lambda d: {**spends, xid: sx - d, yid: sy + d}, -sy, sx, h, tol)
+                obj = search((xid, yid), lambda d: (sx - d, sy + d), -sy, sx, h, tol)
         sweep_objectives.append(obj)
         if obj - before <= tol_obj:
             # a small objective gain can hide a loose certificate where the

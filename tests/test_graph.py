@@ -173,6 +173,61 @@ class TestCoupledTotal:
         p = random_portfolio(rng, n, with_edges=True)
         self._check(p, _spends(rng, p), mode)
 
+    @staticmethod
+    def _check_lines(p: Portfolio, rng, lines, mode: str = "additive", probes: int = 4) -> None:
+        """Each line's probes equal the whole sum at the moved spends, bit for
+        bit, including a probe at the line's own base spends."""
+        total = CoupledTotal(p, mode)
+        spends = _spends(rng, p)
+        for moved in lines:
+            line = total.line(spends, moved)
+            assert line(*(spends[g] for g in moved)) == total(spends)
+            for _ in range(probes):
+                at = [float(rng.uniform(0.0, 2.0 * spends[g] + 1.0)) for g in moved]
+                assert line(*at) == total({**spends, **dict(zip(moved, at))})
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6),
+           st.sampled_from(["additive", "literal"]))
+    def test_lines_on_random_portfolios(self, seed, n, mode):
+        rng = make_rng(seed)
+        p = random_portfolio(rng, n, with_edges=True)
+        ids = p.ids()
+        # every single spend, the sink (no descendants) among them, and every pair
+        lines = [(g,) for g in ids] + [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+        self._check_lines(p, rng, lines, mode)
+
+    def test_lines_on_a_twelve_parent_star(self):
+        rng = make_rng(12)
+        p = _star(rng, 12)
+        ids = p.ids()
+        sink = ids[-1]
+        lines = [(ids[0],), (ids[7],), (sink,), (ids[2], ids[5]), (ids[3], sink), (sink, ids[11])]
+        self._check_lines(p, rng, lines, probes=2)
+
+    def test_lines_on_a_256_deep_chain(self):
+        rng = make_rng(256)
+        p = _chain(rng, 256)
+        ids = p.ids()
+        lines = [(ids[0],), (ids[128],), (ids[-1],), (ids[0], ids[-1]), (ids[200], ids[3])]
+        self._check_lines(p, rng, lines, probes=3)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_a_line_rejects_a_spend_as_the_whole_sum_does(self, bad):
+        rng = make_rng(3)
+        p = _chain(rng, 4)
+        total = CoupledTotal(p)
+        spends = _spends(rng, p)
+        ids = p.ids()
+        line = total.line(spends, (ids[1], ids[2]))
+        with pytest.raises(ValueError) as want:
+            total({**spends, ids[1]: 10.0, ids[2]: bad})
+        with pytest.raises(ValueError) as got:
+            line(10.0, bad)
+        assert str(got.value) == str(want.value)
+        # a probe that raised leaves the line as it was
+        assert line(10.0, 20.0) == total({**spends, ids[1]: 10.0, ids[2]: 20.0})
+
 
 def _gdf(gid: str) -> Gdf:
     attack = AttackType(id=f"a-{gid}", baseline_prob=0.3, loss=1000.0, breach=Exponential(kappa=1e-3))

@@ -29,9 +29,10 @@ from enbcds import (
     restrict_portfolio,
 )
 from enbcds import optimize
+from enbcds.evaluate import CoupledTotal
 from enbcds.optimize import (
     _bisect_decreasing,
-    _golden_max,
+    _brent_max,
     _root,
     _separable_marginal,
     _standalone_marginal,
@@ -543,8 +544,91 @@ def test_golden_search_stops_where_the_floats_cannot_shrink_its_bracket():
         assert len(calls) < 1000, "the search does not stop"
         return -abs(t - 1e307)
 
-    t, _ = _golden_max(fn, -8e307, 8e307, 1e-3)
+    t, _ = _brent_max(fn, -8e307, 8e307, 1e-3)
     assert t == pytest.approx(1e307, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "fn, peak",
+    [(lambda t: -(t * 1e3), 0.0), (lambda t: -abs(t - 1.7e308), 1.7e308)],
+    ids=["overflows-above-the-peak", "peaks-near-the-largest-double"],
+)
+def test_line_maximizer_ends_on_a_bracket_up_to_the_largest_double(fn, peak):
+    # the first curve reads -inf above 1.8e305, as a net benefit does where a
+    # spend plus a loss near the largest double overflows, and the search
+    # starts there: moving to a point that ties at -inf above the current one
+    # walks it to the top of the bracket.  There, as on the second curve, a
+    # midpoint taken as (a + b) / 2 overflows, and the search never ends
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        assert len(calls) < 1000, "the search does not stop"
+        return fn(t)
+
+    hi = sys.float_info.max
+    t, v = _brent_max(counted, 0.0, hi, 1e-6 * hi)
+    assert abs(t - peak) <= 1e-6 * hi and math.isfinite(v)
+    assert len(calls) <= 100
+
+
+def test_line_maximizer_ends_on_a_bracket_of_subnormals():
+    # optimal_spend on a GDF whose only loss comes from a baseline of 5e-324
+    # searches [0, f(0)] = [0, 7.4e-318] to 1e-6 of that, which rounds to
+    # one float spacing; a step taken as a share of |x| is then 0
+    calls = []
+
+    def flat(t):
+        calls.append(t)
+        assert len(calls) < 1000, "the search does not stop"
+        return 487000.0
+
+    _brent_max(flat, 0.0, 7.410985e-318, 1e-6 * 7.410985e-318)
+    assert len(calls) <= 100
+
+
+def test_line_maximizer_reaches_a_smooth_peak_in_a_few_evaluations():
+    # golden section alone needs about 30 evaluations to close a bracket of 1
+    # to 1e-6; parabolic steps find these peaks in at most 15
+    curves = [
+        (lambda t: -math.cosh(t - 0.37), 0.37),
+        (lambda t: math.log1p(5.0 * t) - 2.0 * t, 0.3),
+        (lambda t: -((t - 0.8) ** 4) - (t - 0.8) ** 2, 0.8),
+    ]
+    for fn, peak in curves:
+        calls = []
+        t, v = _brent_max(lambda t: calls.append(t) or fn(t), 0.0, 1.0, 1e-6)
+        assert abs(t - peak) <= 1e-6 and v == fn(t)
+        assert len(calls) <= 15
+
+
+def test_coupled_refinement_probes_the_objective_fewer_times(monkeypatch):
+    # allocate on the ten chains of the corpus probed the coupled objective
+    # 57,011 times when every line search ran golden section, which takes
+    # about 28 probes a line where Brent's parabolic steps take about 12
+    calls = []
+    whole, line = CoupledTotal.__call__, CoupledTotal.line
+
+    def counted_whole(self, spends):
+        calls.append(None)
+        return whole(self, spends)
+
+    def counted_line(self, spends, moved):
+        probe = line(self, spends, moved)
+
+        def counted(*s):
+            calls.append(None)
+            return probe(*s)
+
+        return counted
+
+    monkeypatch.setattr(CoupledTotal, "__call__", counted_whole)
+    monkeypatch.setattr(CoupledTotal, "line", counted_line)
+    chains = [p for p in coupled_corpus() if p.gdfs[0].id.startswith("gdf-chain")]
+    assert len(chains) == 10
+    for p in chains:
+        allocate(p)
+    assert len(calls) <= 0.7 * 57_011
 
 
 @pytest.mark.parametrize("share", [0.02, 0.05])
