@@ -360,8 +360,10 @@ def enbcds_curve(
     ``s_max`` defaults to ``f(0)``: spending more than the expected
     zero-spend loss is always dominated (then ``f(s) >= s > f(0)``), so the
     default window is guaranteed to contain the peak.  For a GDF with no
-    expected loss at all the window falls back to [0, 1].  ``s_star`` is the
-    maximizer within the sampled window.
+    expected loss at all the window falls back to [0, 1].  Where the net
+    benefit at the window's end overflows a double, the window is halved
+    until it does not.  ``s_star`` is the maximizer within the sampled
+    window.
     """
     if n_samples < 2:
         raise DegenerateRangeError(f"n_samples must be >= 2, got {n_samples}")
@@ -369,6 +371,10 @@ def enbcds_curve(
     if s_max is None:
         f0 = expected_cyber_cost(x, 0.0, context)
         s_max = f0 if f0 > 0.0 else 1.0
+        # s + f(s) can overflow at f(0) above half the largest double;
+        # net(0) is finite, so the halving ends
+        while not math.isfinite(net(s_max)):
+            s_max *= 0.5
     else:
         s_max = float(s_max)
         if not math.isfinite(s_max) or s_max <= 0.0:

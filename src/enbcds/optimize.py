@@ -1,11 +1,12 @@
 """Optimal defense spending for one GDF and budget allocation across many.
 
+Every 1-D search is one line maximizer, ``_scan_max``: scan a grid, polish
+the best cell's bracket by Brent's maximizer (golden-section and parabolic
+steps), and keep the best of that point, the grid point and both ends.
+
 Single-GDF: spending more than the zero-spend expected loss ``f(0)`` is
-always dominated (``f(s) >= s``), so the peak lives in ``[0, f(0)]``.  One
-path finds it in both evaluation modes: scan a grid, polish the best cell's
-bracket by Brent's line maximizer (golden-section and parabolic steps), and
-keep the best of that point, the grid point and both ends.  The additive
-curve is concave in spend, so its grid is the two ends alone.
+always dominated (``f(s) >= s``), so the peak lives in ``[0, f(0)]``.  The
+additive curve is concave in spend, so its grid is the two ends alone.
 
 Portfolio: maximize the summed net benefit subject to a shared budget.
 Without dependency edges the problem is separable and concave, so
@@ -20,12 +21,12 @@ Non-mandatory GDFs whose coupled net benefit is negative at their
 allocated spend are dropped, their budget freed, and the program re-solved
 until the drop set is stable.  With edges the coupled objective is polished
 by line searches along one spend and along budget transfers between two
-GDFs: each scores the point Brent's maximizer finds, the root of the slope
-along the line (found by the same root finder) and both ends, and keeps the
-best only if it raises the objective.  A line's probes refold only the GDFs
-it moves and their descendants (``CoupledTotal.line``).  Sweeps go on until
-the objective stalls and the KKT certificate is tight.  Every slope of the
-coupled objective is one central difference cut to its domain, ``_slope``.
+GDFs: each is the line maximizer over a 5-point grid, and its point is kept
+only if it raises the objective by more than the rounding of the summed
+values.  A line's probes refold only the GDFs it moves and their
+descendants (``CoupledTotal.line``).  Sweeps go on until the objective
+stalls and the KKT certificate is tight.  Every slope of the coupled
+objective is one central difference cut at 0, ``_coupled_marginal``.
 
 The literal evaluation mode breaks concavity, so the single-GDF solver
 scans 2001 grid points there, and the allocator picks each round's spends
@@ -150,6 +151,23 @@ def _brent_max(fn: Callable[[float], float], lo: float, hi: float, tol: float) -
                 v, fv = u, fu
 
 
+def _scan_max(fn: Callable[[float], float], lo: float, hi: float, n: int, tol: float) -> tuple[float, float]:
+    """The best point of ``fn`` on ``[lo, hi]`` and its value, by a scan of
+    ``n >= 2`` evenly spaced points with exact ends and a polish of the two
+    cells around the best of them by Brent's maximizer to ``tol``.
+
+    Returns the best of the lower end, the polished point, the best scanned
+    point and the upper end, a tie going to the first in that order, so a
+    peak at an end comes back exact and the upper end wins no tie.  Each
+    point is evaluated once.
+    """
+    step = hi / (n - 1) - lo / (n - 1)  # hi - lo can overflow
+    scanned = [(t, fn(t)) for t in [lo + i * step for i in range(n - 1)] + [hi]]
+    k = max(range(n), key=lambda i: scanned[i][1])
+    polished = _brent_max(fn, scanned[max(0, k - 1)][0], scanned[min(n - 1, k + 1)][0], tol)
+    return max((scanned[0], polished, scanned[k], scanned[-1]), key=lambda point: point[1])
+
+
 def _bisect_decreasing(
     fn: Callable[[float], float], lo: float, hi: float, target: float, tol: float
 ) -> tuple[float, float]:
@@ -247,21 +265,17 @@ def _step(f0: float, scale: float) -> float:
     return 1e-6 * max(f0, 1e-9 * scale, 1e-9)
 
 
-def _slope(fn: Callable[[float], float], t: float, lo: float, hi: float, h: float) -> float:
-    """Slope of ``fn`` at ``t``: a central difference of step ``h``, cut to
-    ``[lo, hi]`` so that no probe leaves the domain.  A step below half an
-    ulp of ``t`` leaves both probes on ``t``, which reads as slope 0."""
-    a, b = max(lo, t - h), min(hi, t + h)
-    if b <= a:
-        return 0.0
-    return (fn(b) - fn(a)) / (b - a)
-
-
 def _coupled_marginal(
     total: Callable[[dict[str, float]], float], spends: dict[str, float], xid: str, h: float
 ) -> float:
-    """Slope of ``total`` along ``spends[xid]``, which cannot go negative."""
-    return _slope(lambda t: total({**spends, xid: t}), spends[xid], 0.0, math.inf, h)
+    """Slope of ``total`` along ``spends[xid]``: a central difference of step
+    ``h``, cut at 0, since a spend cannot go negative.  A step below half an
+    ulp of the spend leaves both probes on it, which reads as slope 0."""
+    t = spends[xid]
+    a, b = max(0.0, t - h), t + h
+    if b <= a:
+        return 0.0
+    return (total({**spends, xid: b}) - total({**spends, xid: a})) / (b - a)
 
 
 def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | None = None) -> OptimalSpend:
@@ -284,14 +298,8 @@ def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | Non
         if not math.isfinite(upper) or upper <= 0.0:
             raise ValueError(f"upper must be finite and > 0, got {upper!r}")
 
-    objective = _net_curve(x, context)
     n = 2 if getattr(context, "mode", ADDITIVE) == ADDITIVE else 2001
-    step = upper / (n - 1)
-    grid = [(i * step, objective(i * step)) for i in range(n)]
-    k = max(range(n), key=lambda i: grid[i][1])
-    searched = _brent_max(objective, grid[max(0, k - 1)][0], grid[min(n - 1, k + 1)][0], 1e-6 * upper)
-    candidates = [grid[0], searched, grid[k], (upper, objective(upper))]
-    return OptimalSpend(*max(candidates, key=lambda c: c[1]))
+    return OptimalSpend(*_scan_max(_net_curve(x, context), 0.0, upper, n, 1e-6 * upper))
 
 
 def mandatory_min_loss(x: Gdf, context: EvalContext | None = None) -> float:
@@ -410,14 +418,16 @@ def _refine_with_edges(
 
     Every move is one line search: along one spend on ``[0, top]``, where
     ``top`` is what the budget leaves it, and along a budget transfer
-    ``s_x - d, s_y + d`` on ``[-s_y, s_x]``.  The search scores the point
-    that Brent's maximizer finds, the root of the objective's slope along
-    the line (a central difference, cut to the line) and both ends, and
-    moves to the best only if it beats the current objective, so sweeps
-    never lower it.  Its probes go through one ``CoupledTotal.line``, which
-    refolds only the moved GDFs and their descendants.  A spend the budget
-    leaves no room to raise by more than the search tolerance gets no move
-    of its own: lowering it is a transfer.  Sweeps stop when one gains at
+    ``s_x - d, s_y + d`` on ``[-s_y, s_x]``.  The search is ``_scan_max``
+    over 5 points, polished to about 1e-9 of the moved GDFs' largest
+    ``f(0)``.  It moves to its point only if that beats the current
+    objective by more than ``len(ids)`` ulps of the summed absolute GDF
+    values at the sweep's start, the rounding of the sum it compares, so
+    sweeps never lower the objective and rounding never decides a move.
+    Its probes go through one ``CoupledTotal.line``, which refolds only the
+    moved GDFs and their descendants.  A spend the budget leaves no room to
+    raise by more than the search tolerance gets no move of its own:
+    lowering it is a transfer.  Sweeps stop when one gains at
     most 1e-9 * scale, unless the relative spread of the interior marginals
     that the KKT certificate compares is still above 1e-5 and the last
     stalled sweep at least halved it.
@@ -428,25 +438,11 @@ def _refine_with_edges(
     obj = objective(spends)
 
     def search(
-        moved: tuple[str, ...], at: Callable[[float], tuple[float, ...]], lo: float, hi: float, h: float, tol: float
+        moved: tuple[str, ...], at: Callable[[float], tuple[float, ...]], lo: float, hi: float, tol: float
     ) -> float:
         line = objective.line(spends, moved)
-
-        def along(t: float) -> float:
-            return line(*at(t))
-
-        v_lo, v_hi = along(lo), along(hi)
-
-        def value(t: float) -> float:  # each end is scored once
-            return v_lo if t == lo else v_hi if t == hi else along(t)
-
-        best_t, best_v = _brent_max(along, lo, hi, tol)
-        root = _root(lambda t: _slope(value, t, lo, hi, h), lo, hi, 0.0)
-        for t in (root, lo, hi):
-            v = value(t)
-            if v > best_v:
-                best_t, best_v = t, v
-        if best_v > obj:
+        best_t, best_v = _scan_max(lambda t: line(*at(t)), lo, hi, 5, tol)
+        if best_v - obj > rounding:
             spends.update(zip(moved, at(best_t)))
             return best_v
         return obj
@@ -461,20 +457,21 @@ def _refine_with_edges(
     sweeps = 0
     for sweeps in range(1, 101):
         before = obj
+        # a gain below the rounding of the summed values is no gain
+        rounding = len(ids) * math.ulp(sum(abs(v) for v in objective.values(spends).values()))
         for xid in ids:
             others = sum(v for k, v in spends.items() if k != xid)
             top = cap if budget is None else min(cap, max(0.0, budget - others))
-            tol = 1e-6 * max(f0[xid], 1e-6 * top, 1e-12)
+            tol = 1e-9 * max(f0[xid], 1e-6 * top, 1e-12)
             if top - spends[xid] > tol:
-                obj = search((xid,), lambda t: (t,), 0.0, top, _step(f0[xid], scale), tol)
+                obj = search((xid,), lambda t: (t,), 0.0, top, tol)
         for i, xid in enumerate(ids):
             for yid in ids[i + 1 :]:
                 sx, sy = spends[xid], spends[yid]
                 if sx <= 0.0 and sy <= 0.0:
                     continue
-                h = _step(min(f0[xid], f0[yid]), scale)
-                tol = 1e-6 * max(f0[xid], f0[yid], 1e-12)
-                obj = search((xid, yid), lambda d: (sx - d, sy + d), -sy, sx, h, tol)
+                tol = 1e-9 * max(f0[xid], f0[yid], 1e-12)
+                obj = search((xid, yid), lambda d: (sx - d, sy + d), -sy, sx, tol)
         sweep_objectives.append(obj)
         if obj - before <= tol_obj:
             # a small objective gain can hide a loose certificate where the

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import stat
 import subprocess
@@ -289,6 +290,22 @@ class TestCurve:
         assert payload["gdf"] == "remote-scada-access"
         assert len(payload["samples"]) == 4
         assert payload["peak_value"] >= max(v for _, v in payload["samples"]) - 1e-9
+
+    def test_default_window_ends_where_the_net_benefit_is_finite(self, tmp_path, capfd):
+        # f(0) = 1.7e308, and with kappa 1e-320 f barely falls, so s + f(s)
+        # at the window's default end f(0) overflows and its sample read -inf
+        attack = {"id": "a", "baseline_prob": 1.0, "loss": 1.7e308,
+                  "breach": {"family": "exponential", "kappa": 1e-320}}
+        doc = json.loads(MINIMAL)
+        doc["portfolio"]["gdfs"][0].update(ben=1.0, dir_costs=0.0, attacks=[attack])
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--json", "curve", str(path), "--gdf", "solo"]) == 0
+        payload = json.loads(capfd.readouterr().out)
+        assert len(payload["samples"]) == 200
+        assert all(math.isfinite(v) for sample in payload["samples"] for v in sample)
+        assert 0.0 < payload["samples"][-1][0] < 1.7e308
+        assert payload["s_star"] == 0.0
 
     def test_bad_samples_value_is_exit_1(self, scada_file, capfd):
         assert main(["curve", scada_file, "--gdf", "remote-scada-access", "--samples", "1"]) == 1

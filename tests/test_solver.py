@@ -34,6 +34,7 @@ from enbcds.optimize import (
     _bisect_decreasing,
     _brent_max,
     _root,
+    _scan_max,
     _separable_marginal,
     _standalone_marginal,
     _water_fill,
@@ -153,8 +154,8 @@ class TestRootFinderAgainstClosedForms:
         assert abs(root - 0.7) <= 1e-13
 
     def test_a_nan_residual_is_bisected_past(self):
-        # the coupled objective's slope along a line reads NaN where its
-        # values overflow to -inf; a NaN secant step must not end in the root
+        # a difference of values that overflow to -inf reads NaN; a NaN
+        # secant step must not end in the root
         def fn(s):
             return 1.0 if s < 0.3 else math.nan if s < 0.6 else -1.0
 
@@ -521,16 +522,37 @@ def test_difference_step_below_an_ulp_of_the_spend_reads_as_flat():
     assert r.objective == slack.objective
 
 
-def test_an_attack_loss_of_the_largest_double_is_dropped_not_nan():
-    # that GDF's coupled objective overflows to -inf at large spends, where
-    # the slope that the line searches root-find reads NaN
-    p = random_portfolio(make_rng(0), 2, with_edges=True)
+def with_attack_loss(p: Portfolio, attack: int, loss: float) -> Portfolio:
+    """``p`` with the loss of its first GDF's attack ``attack`` set to ``loss``."""
     x = p.gdfs[0]
-    attacks = (x.attacks[0], dataclasses.replace(x.attacks[1], loss=sys.float_info.max), *x.attacks[2:])
-    p = dataclasses.replace(p, gdfs=(dataclasses.replace(x, attacks=attacks), *p.gdfs[1:]))
+    attacks = list(x.attacks)
+    attacks[attack] = dataclasses.replace(attacks[attack], loss=loss)
+    return dataclasses.replace(p, gdfs=(dataclasses.replace(x, attacks=tuple(attacks)), *p.gdfs[1:]))
+
+
+def test_an_attack_loss_of_the_largest_double_is_dropped_not_nan():
+    # that GDF's coupled objective overflows to -inf at large spends
+    p = with_attack_loss(random_portfolio(make_rng(0), 2, with_edges=True), 1, sys.float_info.max)
     r = allocate(p)
-    assert r.dropped == {x.id}
+    assert r.dropped == {"gdf-0"}
     assert all(math.isfinite(v) for v in r.spends.values())
+
+
+@pytest.mark.parametrize(
+    "seed, n, attack, objective",
+    [(0, 2, 1, 1_148_719.94), (1, 3, 0, 871_746.49)],
+    ids=["gdf-1-kept", "gdf-1-not-dropped-by-rounding"],
+)
+def test_a_move_that_gains_only_by_rounding_is_not_taken(seed, n, attack, objective):
+    # gdf-0's value is about -2.7e299, so the summed objective rounds at
+    # about 1e283: a transfer of 8.5e285 from gdf-0 to gdf-1 "gained" by
+    # rounding, and both GDFs of the first portfolio were dropped for 0
+    p = with_attack_loss(random_portfolio(make_rng(seed), n, with_edges=True), attack, 1e300)
+    r = allocate(p)
+    assert r.dropped == {"gdf-0"}
+    assert r.objective == pytest.approx(objective, abs=0.01)
+    kept = restrict_portfolio(p, set(p.ids()) - r.dropped)
+    assert r.objective == pytest.approx(oracle_total(kept, {g: r.spends[g] for g in kept.ids()}), rel=1e-12)
 
 
 def test_golden_search_stops_where_the_floats_cannot_shrink_its_bracket():
@@ -587,19 +609,71 @@ def test_line_maximizer_ends_on_a_bracket_of_subnormals():
     assert len(calls) <= 100
 
 
+SMOOTH_PEAKS = [  # (curve, its peak on [0, 1])
+    (lambda t: -math.cosh(t - 0.37), 0.37),
+    (lambda t: math.log1p(5.0 * t) - 2.0 * t, 0.3),
+    (lambda t: -((t - 0.8) ** 4) - (t - 0.8) ** 2, 0.8),
+]
+
+
 def test_line_maximizer_reaches_a_smooth_peak_in_a_few_evaluations():
     # golden section alone needs about 30 evaluations to close a bracket of 1
     # to 1e-6; parabolic steps find these peaks in at most 15
-    curves = [
-        (lambda t: -math.cosh(t - 0.37), 0.37),
-        (lambda t: math.log1p(5.0 * t) - 2.0 * t, 0.3),
-        (lambda t: -((t - 0.8) ** 4) - (t - 0.8) ** 2, 0.8),
-    ]
-    for fn, peak in curves:
+    for fn, peak in SMOOTH_PEAKS:
         calls = []
         t, v = _brent_max(lambda t: calls.append(t) or fn(t), 0.0, 1.0, 1e-6)
         assert abs(t - peak) <= 1e-6 and v == fn(t)
         assert len(calls) <= 15
+
+
+def test_scan_max_returns_an_end_bit_exact():
+    # lo + 4 * step rounds away from hi here, as on a budget transfer line
+    # [-s_y, s_x]; the scan's last point is hi itself
+    lo, hi = -0.2, 0.5
+    assert lo + 4 * (hi / 4 - lo / 4) != hi
+    assert _scan_max(lambda t: -t, lo, hi, 5, 1e-9) == (lo, -lo)
+    assert _scan_max(lambda t: t, lo, hi, 5, 1e-9) == (hi, hi)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_scan_max_reaches_a_smooth_peak_in_n_plus_15_evaluations(n):
+    for fn, peak in SMOOTH_PEAKS:
+        calls = []
+        t, v = _scan_max(lambda t: calls.append(t) or fn(t), 0.0, 1.0, n, 1e-6)
+        assert abs(t - peak) <= 1e-6 and v == fn(t)
+        assert len(calls) <= n + 15
+
+
+def test_scan_max_polishes_the_peak_of_the_best_scanned_cell():
+    # a wide peak of 1 at 0.3 and a narrow one of 2 at 0.9: Brent's search
+    # over the whole bracket starts on the first and keeps to it, while the
+    # scan's best point, 1.0, sits in the second's cell
+    def fn(t):
+        return max(1.0 - 10.0 * (t - 0.3) ** 2, 2.0 - 100.0 * (t - 0.9) ** 2)
+
+    assert abs(_brent_max(fn, 0.0, 1.0, 1e-9)[0] - 0.3) <= 1e-6
+    t, v = _scan_max(fn, 0.0, 1.0, 5, 1e-9)
+    assert abs(t - 0.9) <= 1e-6 and v == pytest.approx(2.0, abs=1e-12)
+
+
+def test_scan_max_evaluates_each_end_once(monkeypatch):
+    calls = []
+    _scan_max(lambda t: calls.append(t) or -((t - 0.3) ** 2), 0.0, 1.0, 5, 1e-9)
+    assert calls.count(0.0) == 1 and calls.count(1.0) == 1
+    # optimal_spend scored its window's upper end twice: once as the last
+    # grid point and once more as a candidate
+    net_curve = optimize._net_curve
+    probes = []
+
+    def counted(x, context=None):
+        net = net_curve(x, context)
+        return lambda s: probes.append(s) or net(s)
+
+    monkeypatch.setattr(optimize, "_net_curve", counted)
+    x = random_gdf(make_rng(7), "g")
+    upper = oracle_f(x, 0.0)
+    optimal_spend(x, upper=upper)
+    assert probes.count(0.0) == 1 and probes.count(upper) == 1
 
 
 def test_coupled_refinement_probes_the_objective_fewer_times(monkeypatch):
@@ -634,7 +708,7 @@ def test_coupled_refinement_probes_the_objective_fewer_times(monkeypatch):
 @pytest.mark.parametrize("share", [0.02, 0.05])
 @pytest.mark.parametrize("seed", [None, 0, 3, 4], ids=["corpus-3", "table-0", "table-3", "table-4"])
 def test_tight_budget_is_transfer_optimal_and_never_loses_ground(seed, share):
-    # a slope root searched only near the golden point leaves a transfer
+    # a line search polished only near one golden point leaves a transfer
     # gain where Table breach models mix in, and moves accepted on a slightly
     # worse objective let a sweep lose ground on corpus-3 and table-3
     if seed is None:
