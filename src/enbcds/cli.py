@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 
 from .evaluate import (
@@ -58,6 +57,8 @@ def _write(data: bytes | str, path: str | None) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.flush()
         return
+    import tempfile  # local import: only ``-o`` writes a file
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".enbcds-tmp-")
     mask = os.umask(0)  # mkstemp makes the file 0600; give it a plain write's mode

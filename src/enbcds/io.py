@@ -18,7 +18,6 @@ import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields
-from importlib import resources
 from typing import Callable, NamedTuple
 
 from .evaluate import EnbcdsCurve
@@ -569,6 +568,8 @@ def bundled_scenario_names() -> tuple[str, ...]:
 def bundled_scenario_text(name: str) -> str:
     if name not in _BUNDLED:
         raise KeyError(f"no bundled scenario {name!r}; available: {', '.join(_BUNDLED)}")
+    from importlib import resources  # local import: only bundled scenarios read package data
+
     return resources.files("enbcds").joinpath(f"scenarios/{name}.json").read_text(encoding="utf-8")
 
 

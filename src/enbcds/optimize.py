@@ -33,15 +33,17 @@ scans 2001 grid points there, and the allocator picks each round's spends
 by a grid search before the same drop rule: the max-plus knapsack
 recursion over 512 budget cells, one numpy sweep per GDF over the cell
 offsets in ascending order, where a tie goes to the smaller spend.
+
+numpy is imported inside ``_grid_spends`` and ``statistics.median`` inside
+``allocate``'s coupled branch, so that ``import enbcds`` loads neither:
+numpy is about half of a fresh process's import time, and here only
+literal mode uses it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import median
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .evaluate import ADDITIVE, CoupledTotal, EvalContext, _net_curve, check_mode, enb, expected_cyber_cost
 from .model import Gdf, Portfolio, _pull, restrict_portfolio
@@ -159,11 +161,18 @@ def _scan_max(fn: Callable[[float], float], lo: float, hi: float, n: int, tol: f
     Returns the best of the lower end, the polished point, the best scanned
     point and the upper end, a tie going to the first in that order, so a
     peak at an end comes back exact and the upper end wins no tie.  Each
-    point is evaluated once.
+    point is evaluated once.  When the best point and its two neighbours
+    (at an end, the next two) read one value, they are not polished: a
+    concave curve equal at three points is flat between them and peaks
+    there, and on a flat bracket Brent's steps walk its whole width.  Two
+    equal points do not say this, since a peak can lie between them.
     """
     step = hi / (n - 1) - lo / (n - 1)  # hi - lo can overflow
     scanned = [(t, fn(t)) for t in [lo + i * step for i in range(n - 1)] + [hi]]
     k = max(range(n), key=lambda i: scanned[i][1])
+    j = min(max(k - 1, 0), n - 3)  # the first of the three points around k
+    if n >= 3 and scanned[j][1] == scanned[j + 1][1] == scanned[j + 2][1]:
+        return max((scanned[0], scanned[k], scanned[-1]), key=lambda point: point[1])
     polished = _brent_max(fn, scanned[max(0, k - 1)][0], scanned[min(n - 1, k + 1)][0], tol)
     return max((scanned[0], polished, scanned[k], scanned[-1]), key=lambda point: point[1])
 
@@ -498,6 +507,8 @@ def _grid_spends(gdfs, budget: float | None, mode: str) -> tuple[dict[str, float
     own peak; at zero budget it is spend 0.  Returns the spends of the
     deployed GDFs and the skipped ids.
     """
+    import numpy as np  # local import: only literal mode needs it (see the module docstring)
+
     ctx = EvalContext(mode=mode)
     if budget is None:
         cells, grids = 0, [[optimal_spend(x, ctx).s_star] for x in gdfs]
@@ -611,6 +622,8 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
     if mode == ADDITIVE:
         interior = _interior(spends, marginals, effective, scale)
         if sub.edges and any(interior.values()):
+            from statistics import median  # local import: only coupled allocation takes a median
+
             lam = median(marginals[i] for i, inside in interior.items() if inside)
     else:
         lam, interior = None, {x.id: False for x in sub.gdfs}

@@ -14,6 +14,9 @@ another in the calling thread: the solves are pure Python and hold the
 interpreter lock, so a thread pool ran no faster.  Sampled values landing
 outside [0, 1] for probability fields are clamped, and the clamp events are
 counted and reported rather than silently resampled.
+
+numpy is imported inside the functions that draw and summarize
+(``_draw_rng``, ``_stats`` and ``sample``), so only sampling loads it.
 """
 from __future__ import annotations
 
@@ -21,8 +24,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
-
-import numpy as np
 
 from .evaluate import EvalContext, enb
 from .model import Portfolio
@@ -238,6 +239,8 @@ def _percentiles(values: list[float], qs: Sequence[float]) -> list[float]:
 
 
 def _stats(values: np.ndarray) -> QuantityStats:
+    import numpy as np  # local import, as in _draw_rng and sample: only sampling loads numpy
+
     vmin, vmax = float(values.min()), float(values.max())
     if vmin == vmax:
         # constant sample: report the exact value, immune to accumulator
@@ -275,6 +278,8 @@ class SensitivityReport:
 
 
 def _draw_rng(seed: int, index: int) -> np.random.Generator:
+    import numpy as np
+
     key = np.array([seed % (2**64), index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -305,6 +310,8 @@ def sample(
     on a draw at every support's lower end).  ``threads`` is accepted for
     compatibility and changes nothing: draws always run in one thread.
     """
+    import numpy as np
+
     from .io import ValidationError, portfolio_from_dict, portfolio_to_dict  # deferred: io imports this module
 
     draws = int(draws)

@@ -527,3 +527,47 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "0 False\n"
         assert json.loads(proc.stdout)["draws"] == 3
+
+    @staticmethod
+    def _run_child(script: str) -> subprocess.CompletedProcess:
+        """``script`` in a fresh interpreter that imports this test's enbcds."""
+        src = os.path.dirname(os.path.dirname(enbcds.__file__))
+        return subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        )
+
+    def test_commands_without_sampling_run_without_numpy(self, comparison_file):
+        # numpy is half of a fresh process's import time; only sample and
+        # literal-mode allocate load it
+        commands = [
+            ["validate"],
+            ["evaluate", "--gdf", "ami-headend"],
+            ["optimize", "--gdf", "ami-headend"],
+            ["curve", "--gdf", "ami-headend"],
+            ["report"],
+            ["allocate"],
+        ]
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None  # every numpy import now raises\n"
+            "from enbcds.cli import main\n"
+            f"for command, *rest in {commands!r}:\n"
+            f"    print(command, main([command, {comparison_file!r}, *rest]), file=sys.stderr)\n"
+        )
+        proc = self._run_child(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "".join(f"{command} 0\n" for command, *_ in commands)
+
+    def test_import_loads_neither_numpy_nor_statistics(self):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import enbcds\n"
+            "print(sorted({'numpy', 'statistics'} & (set(sys.modules) - before)))\n"
+        )
+        proc = self._run_child(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -522,12 +522,15 @@ def test_difference_step_below_an_ulp_of_the_spend_reads_as_flat():
     assert r.objective == slack.objective
 
 
-def with_attack_loss(p: Portfolio, attack: int, loss: float) -> Portfolio:
-    """``p`` with the loss of its first GDF's attack ``attack`` set to ``loss``."""
-    x = p.gdfs[0]
+def with_attack_loss(p: Portfolio, attack: int, loss: float, gdf: int = 0) -> Portfolio:
+    """``p`` with the loss of attack ``attack`` of GDF ``gdf`` (default the
+    first) set to ``loss``."""
+    x = p.gdfs[gdf]
     attacks = list(x.attacks)
     attacks[attack] = dataclasses.replace(attacks[attack], loss=loss)
-    return dataclasses.replace(p, gdfs=(dataclasses.replace(x, attacks=tuple(attacks)), *p.gdfs[1:]))
+    gdfs = list(p.gdfs)
+    gdfs[gdf] = dataclasses.replace(x, attacks=tuple(attacks))
+    return dataclasses.replace(p, gdfs=tuple(gdfs))
 
 
 def test_an_attack_loss_of_the_largest_double_is_dropped_not_nan():
@@ -674,6 +677,47 @@ def test_scan_max_evaluates_each_end_once(monkeypatch):
     upper = oracle_f(x, 0.0)
     optimal_spend(x, upper=upper)
     assert probes.count(0.0) == 1 and probes.count(upper) == 1
+
+
+def test_scan_max_leaves_a_line_flat_at_its_best_three_points_unpolished():
+    # flat at 0 on [0, 0.5]: the scan's first three points read its peak
+    # value, and a polish of [0, 0.25] would only walk the flat bracket
+    calls = []
+    t, v = _scan_max(lambda t: calls.append(t) or min(0.0, 0.5 - t), 0.0, 1.0, 5, 1e-9)
+    assert (t, v) == (0.0, 0.0)
+    assert len(calls) == 5
+
+
+def test_scan_max_polishes_a_peak_between_two_equal_points():
+    # the curve reads one value at 0 and 0.25 and peaks between them, so two
+    # equal scanned points alone do not make a line flat
+    def fn(t):
+        return -((t - 0.125) ** 2)
+
+    assert fn(0.0) == fn(0.25)
+    t, _ = _scan_max(fn, 0.0, 1.0, 5, 1e-9)
+    assert abs(t - 0.125) <= 1e-6
+
+
+def test_flat_coupled_lines_end_at_the_scan(monkeypatch):
+    # with the largest double as one attack's loss, lines on [-2715, 7.1e292]
+    # read one value at their first four scanned points; each was polished
+    # by Brent's steps walking that width, 1,422 probes at worst
+    p = with_attack_loss(random_portfolio(make_rng(1), 3, with_edges=True), 1, sys.float_info.max, gdf=2)
+    probes = []
+    scan_max = optimize._scan_max
+
+    def counted(fn, lo, hi, n, tol):
+        calls = []
+        result = scan_max(lambda t: calls.append(t) or fn(t), lo, hi, n, tol)
+        probes.append(len(calls))
+        return result
+
+    monkeypatch.setattr(optimize, "_scan_max", counted)
+    r = allocate(p)
+    assert r.dropped == {"gdf-0", "gdf-2"}
+    assert r.objective == pytest.approx(26_039.659304411543, rel=1e-12)
+    assert max(probes) < 100
 
 
 def test_coupled_refinement_probes_the_objective_fewer_times(monkeypatch):
