@@ -14,6 +14,9 @@ hash covers the outcome: the canonical text of the parsed scenario, or the
 error's class, message and ``path``, plus every warning raised.  Run it on
 two checkouts and diff the output to show that a change to the reader, the
 model's checks or the canonical writer leaves every outcome as it was.
+Exits 1 when a parse raises anything but ``SchemaError`` (syntax errors
+included) or ``ValidationError``, naming the document and the exception's
+class on stderr.
 
 ``--run`` prints, in place of the parse digests, the outcome of running
 each strict-accepted document through the CLI in-process (the benchmark's
@@ -52,7 +55,15 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / d) for d in ("src", "tests", "perfbench", "scripts")]
 
 import workloads  # noqa: E402
-from enbcds import bundled_scenario_names, bundled_scenario_text, cli, parse_scenario, serialize_scenario  # noqa: E402
+from enbcds import (  # noqa: E402
+    SchemaError,
+    ValidationError,
+    bundled_scenario_names,
+    bundled_scenario_text,
+    cli,
+    parse_scenario,
+    serialize_scenario,
+)
 from harness import DEFAULT_SEED, call_cli  # noqa: E402
 from op_digests import describe_change  # noqa: E402
 from oracles import make_rng, random_portfolio  # noqa: E402
@@ -124,15 +135,20 @@ def mutations(text: str):
         yield f"{_pointer(path)}:add", mutated
 
 
-def outcome(text: str, lenient: bool) -> str:
+def outcome(text: str, lenient: bool) -> tuple[str, str | None]:
+    """The digest of parsing ``text``, and the class of the exception it
+    raised if that is not one of the reader's own rejections (else None)."""
+    surprise = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             result = serialize_scenario(parse_scenario(text, lenient=lenient))
         except Exception as exc:  # every failure is an outcome to compare
             result = f"{type(exc).__name__}\n{exc}\n{getattr(exc, 'path', None)!r}"
+            if not isinstance(exc, (SchemaError, ValidationError)):
+                surprise = type(exc).__name__
     notes = "".join(f"\n{w.category.__name__}: {w.message}" for w in caught)
-    return hashlib.sha256((result + notes).encode("utf-8")).hexdigest()
+    return hashlib.sha256((result + notes).encode("utf-8")).hexdigest(), surprise
 
 
 def run(text: str, path: str, gdf: str | None):
@@ -180,7 +196,11 @@ def main(argv: list[str] | None = None) -> int:
             if not args.run:
                 for doc_id, doc_text in docs:
                     for mode in ("strict", "lenient"):
-                        print(doc_id, mode, outcome(doc_text, mode == "lenient"))
+                        digest, surprise = outcome(doc_text, mode == "lenient")
+                        print(doc_id, mode, digest)
+                        if surprise is not None:
+                            bad = True
+                            print(doc_id, mode, "raised", surprise, file=sys.stderr)
                 continue
             for doc_id, doc_text in docs:
                 try:

@@ -26,7 +26,9 @@ only if it raises the objective by more than the rounding of the summed
 values.  A line's probes refold only the GDFs it moves and their
 descendants (``CoupledTotal.line``).  Sweeps go on until the objective
 stalls and the KKT certificate is tight.  Every slope of the coupled
-objective is one central difference cut at 0, ``_coupled_marginal``.
+objective is one central difference cut at 0, ``_coupled_marginal``, of
+step ``1e-6 * max(f(0), 1e-9 * scale, 1e-9)``, where ``scale`` is the
+summed ``f(0)`` floored at 1; ``allocate`` reads every ``f(0)`` once.
 
 The literal evaluation mode breaks concavity, so the single-GDF solver
 scans 2001 grid points there, and the allocator picks each round's spends
@@ -268,19 +270,14 @@ def _separable_marginal(x: Gdf, s: float, lam: float) -> float:
     return m(s) if s <= d else min(max(lam, m(s + d)), m(s - d))
 
 
-def _step(f0: float, scale: float) -> float:
-    """Difference step for a GDF of zero-spend loss ``f0`` in a portfolio
-    whose summed zero-spend loss is ``scale``."""
-    return 1e-6 * max(f0, 1e-9 * scale, 1e-9)
-
-
 def _coupled_marginal(
-    total: Callable[[dict[str, float]], float], spends: dict[str, float], xid: str, h: float
+    total: Callable[[dict[str, float]], float], spends: dict[str, float], xid: str, f0: dict[str, float], scale: float
 ) -> float:
-    """Slope of ``total`` along ``spends[xid]``: a central difference of step
-    ``h``, cut at 0, since a spend cannot go negative.  A step below half an
-    ulp of the spend leaves both probes on it, which reads as slope 0."""
-    t = spends[xid]
+    """Slope of ``total`` along ``spends[xid]``: a central difference cut at
+    0, since a spend cannot go negative, of step ``h`` from ``allocate``'s
+    f(0) table and its floored sum.  A step below half an ulp of the spend
+    leaves both probes on it, which reads as slope 0."""
+    t, h = spends[xid], 1e-6 * max(f0[xid], 1e-9 * scale, 1e-9)
     a, b = max(0.0, t - h), t + h
     if b <= a:
         return 0.0
@@ -421,9 +418,12 @@ def _refine_with_edges(
     objective: CoupledTotal,
     spends: dict[str, float],
     budget: float | None,
+    f0: dict[str, float],
     scale: float,
-) -> tuple[dict[str, float], int, list[float]]:
-    """Line searches on the coupled objective, one GDF and one pair at a time.
+) -> tuple[dict[str, float], list[float]]:
+    """Line searches on the coupled objective from ``spends``, one GDF and one
+    pair at a time; ``f0`` and ``scale`` are ``allocate``'s f(0) table and
+    its floored sum.
 
     Every move is one line search: along one spend on ``[0, top]``, where
     ``top`` is what the budget leaves it, and along a budget transfer
@@ -439,10 +439,10 @@ def _refine_with_edges(
     lowering it is a transfer.  Sweeps stop when one gains at
     most 1e-9 * scale, unless the relative spread of the interior marginals
     that the KKT certificate compares is still above 1e-5 and the last
-    stalled sweep at least halved it.
+    stalled sweep at least halved it.  Returns the spends and the objective
+    at the start and after each sweep.
     """
     ids = [x.id for x in sub.gdfs]
-    f0 = {x.id: expected_cyber_cost(x, 0.0) for x in sub.gdfs}
     cap = 1.0 + sum(a.loss for x in sub.gdfs for a in x.attacks)
     obj = objective(spends)
 
@@ -456,15 +456,9 @@ def _refine_with_edges(
             return best_v
         return obj
 
-    def kkt_spread() -> float:
-        marginals = {xid: _coupled_marginal(objective, spends, xid, _step(f0[xid], scale)) for xid in ids}
-        return marginal_spread(marginals, _interior(spends, marginals, budget, scale))
-
     last_spread = math.inf
-    sweep_objectives = [obj]
-    tol_obj = 1e-9 * scale
-    sweeps = 0
-    for sweeps in range(1, 101):
+    history = [obj]
+    for _ in range(100):
         before = obj
         # a gain below the rounding of the summed values is no gain
         rounding = len(ids) * math.ulp(sum(abs(v) for v in objective.values(spends).values()))
@@ -481,15 +475,16 @@ def _refine_with_edges(
                     continue
                 tol = 1e-9 * max(f0[xid], f0[yid], 1e-12)
                 obj = search((xid, yid), lambda d: (sx - d, sy + d), -sy, sx, tol)
-        sweep_objectives.append(obj)
-        if obj - before <= tol_obj:
+        history.append(obj)
+        if obj - before <= 1e-9 * scale:
             # a small objective gain can hide a loose certificate where the
             # objective is flat; sweep on while that spread keeps halving
-            spread = kkt_spread()
+            marginals = {xid: _coupled_marginal(objective, spends, xid, f0, scale) for xid in ids}
+            spread = marginal_spread(marginals, _interior(spends, marginals, budget, scale))
             if spread <= 1e-5 or spread > 0.5 * last_spread:
                 break
             last_spread = spread
-    return spends, sweeps, sweep_objectives
+    return spends, history
 
 
 def _grid_spends(gdfs, budget: float | None, mode: str) -> tuple[dict[str, float], set[str]]:
@@ -562,16 +557,13 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
     spend (ties retain) and re-solves until stable.
     """
     check_mode(mode)
-    if budget is not None:
-        effective = float(budget)
-    elif p.budget is not None:
-        effective = float(p.budget)
-    else:
-        effective = None
+    effective = p.budget if budget is None else float(budget)
     if effective is not None and (not math.isfinite(effective) or effective < 0.0):
         raise BudgetInfeasibleError(f"budget must be finite and >= 0, got {effective!r}")
 
-    scale = max(1.0, sum(expected_cyber_cost(x, 0.0) for x in p.gdfs))
+    zero = [expected_cyber_cost(x, 0.0) for x in p.gdfs]
+    scale = max(1.0, sum(zero))
+    f0 = dict(zip(p.ids(), zero))
     kept = set(p.ids())
     rounds = 0
     total_sweeps = 0
@@ -593,13 +585,9 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
             starts = [dict(spends)]
             if effective is not None and effective > 0.0:
                 starts.append({x.id: effective / len(sub.gdfs) for x in sub.gdfs})
-            best = None
-            for start in starts:
-                refined = _refine_with_edges(sub, total, start, effective, scale)
-                if best is None or refined[2][-1] > best[2][-1]:
-                    best = refined
-            spends, sweeps, sweep_objectives = best
-            total_sweeps += sweeps
+            refined = [_refine_with_edges(sub, total, start, effective, f0, scale) for start in starts]
+            spends, sweep_objectives = max(refined, key=lambda r: r[1][-1])
+            total_sweeps += len(sweep_objectives) - 1
         values = total.values(spends)
         drops = {i for i in kept if not p.gdf(i).mandatory and values[i] < 0.0}
         if not drops:
@@ -615,7 +603,7 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         # without edges the slope is the GDF's own: differencing the whole sum
         # would lose digits to the rounding of the other GDFs' values
         own = total if sub.edges else lambda sp: total.values(sp)[x.id]
-        return _coupled_marginal(own, spends, x.id, _step(expected_cyber_cost(x, 0.0), scale))
+        return _coupled_marginal(own, spends, x.id, f0, scale)
 
     objective = float(sum(values[x.id] for x in sub.gdfs))
     marginals = {x.id: marginal(x) for x in sub.gdfs}
@@ -627,8 +615,6 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
             lam = median(marginals[i] for i, inside in interior.items() if inside)
     else:
         lam, interior = None, {x.id: False for x in sub.gdfs}
-    if not sweep_objectives:
-        sweep_objectives = [objective]
 
     full = {i: spends.get(i, 0.0) for i in p.ids()}
     return AllocationResult(
@@ -640,5 +626,5 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         lam=lam,
         interior=interior,
         iterations=rounds + total_sweeps,
-        sweep_objectives=tuple(sweep_objectives),
+        sweep_objectives=tuple(sweep_objectives or [objective]),
     )

@@ -147,3 +147,23 @@ def test_parse_digests_run_exits_1_on_a_traceback_or_a_nan(monkeypatch, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert bool(err) == bool(status)
     assert all(line.endswith("raised RuntimeError" if raises else message) for line in err)
+
+
+def test_parse_digests_exits_1_on_a_parse_that_raises_past_the_readers_errors(monkeypatch, capsys):
+    # a rejection (SchemaError or ValidationError) is an outcome like any
+    # other; any other exception is a defect, named by document and mode
+    import enbcds
+
+    parse = enbcds.parse_scenario
+
+    def broken(text, lenient=False):
+        if lenient:
+            raise KeyError("boom")
+        return parse(text, lenient=lenient)
+
+    monkeypatch.setattr(enbcds, "parse_scenario", broken)
+    assert _main("parse_digests.py")(["bundled:wifi-thermostats"]) == 1
+    out, err = capsys.readouterr()
+    rows = [line.split(" ") for line in out.splitlines()]
+    assert all(len(row) == 3 and len(row[2]) == 64 for row in rows)
+    assert err.splitlines() == [f"{row[0]} lenient raised KeyError" for row in rows[1::2]]

@@ -480,6 +480,39 @@ def test_coupled_corpus_is_kkt_tight_and_transfer_optimal():
           f"{time.perf_counter() - start:.1f}s")
 
 
+@pytest.mark.parametrize("mode", ["additive", "literal"])
+def test_coupled_marginals_match_oracle_differences(mode):
+    # each reported coupled marginal is one central difference, cut at 0, of
+    # step 1e-6 * max(f(0), 1e-9 * scale, 1e-9); the oracle's totals at the
+    # same two spends give the same difference to rounding
+    checked = 0
+    for seed in range(30):
+        p = random_portfolio(make_rng(500 + seed), 3 + seed % 3, with_edges=True, n_attacks=2)
+        scale = max(1.0, sum(oracle_f(x, 0.0) for x in p.gdfs))
+        r = allocate(p, budget=0.3 * scale, mode=mode)
+        kept = restrict_portfolio(p, set(p.ids()) - r.dropped)
+        if not kept.edges:
+            continue
+        spends = {g: r.spends[g] for g in kept.ids()}
+        for x in kept.gdfs:
+            s, h = spends[x.id], 1e-6 * max(oracle_f(x, 0.0), 1e-9 * scale, 1e-9)
+            a, b = max(0.0, s - h), s + h
+            rise = oracle_total(kept, {**spends, x.id: b}, mode) - oracle_total(kept, {**spends, x.id: a}, mode)
+            assert r.marginal_at_solution[x.id] * (b - a) == pytest.approx(rise, abs=1e-12 * scale)
+            checked += 1
+    assert checked >= 100
+
+
+def test_coupled_iterations_count_one_round_and_its_sweeps():
+    # no GDF of the corpus is dropped, so there is one drop round, and the
+    # kept refinement's history holds its start and one objective per sweep
+    for p in coupled_corpus()[::10]:
+        r = allocate(p)
+        assert not r.dropped
+        assert len(r.sweep_objectives) >= 2
+        assert r.iterations == len(r.sweep_objectives)
+
+
 def test_kkt_certificate_holds_where_the_objective_is_flat():
     # sweeps stopped on the objective gain alone left this diamond with a
     # KKT spread of 1.9e-4: the objective barely moves along the last
