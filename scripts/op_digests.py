@@ -14,7 +14,9 @@ JSON map keyed ``seed workload op``.  ``--against FILE`` prints, in place of
 the digests, one line for each op whose output differs from such a dump:
 the largest relative change of any number in its JSON output and the JSON
 path where it occurs (``inf`` where the two differ in shape or in a value
-that is not a number), or the failure.
+that is not a number), then the signed relative change of the allocation
+objective and its path when both outputs carry one (``objective``, or
+``allocation.objective`` of ``report``), or the failure.
 
 Exits 1 when any op fails, so that a run can gate on it; output that
 merely moved still exits 0.
@@ -63,18 +65,43 @@ def largest_change(old, new, path: str = "") -> tuple[float, str]:
     return max(parts, key=lambda part: part[0], default=(0.0, path or "/"))
 
 
+def _value_at(doc, path: str):
+    """The value at a JSON ``path`` such as ``/allocation/objective``, or None."""
+    for key in path.split("/")[1:]:
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
+
+
+def objective_change(old, new) -> tuple[float, str] | None:
+    """Signed relative change ``(new - old) / max(|old|, |new|)`` of the
+    allocation objective, with its path: the top-level ``objective``, or
+    ``allocation.objective`` of ``report``; None unless both carry it."""
+    for path in ("/objective", "/allocation/objective"):
+        a, b = _value_at(old, path), _value_at(new, path)
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+            if a == b:
+                return 0.0, path
+            scale = max(abs(a), abs(b))
+            return ((b - a) / scale if math.isfinite(scale) else math.copysign(math.inf, b - a)), path
+    return None
+
+
 def describe_change(old, new) -> str:
     """How an op's dumped output ``new`` differs from ``old``: each is its
-    stdout text or ``{"failed": reason}``."""
+    stdout text or ``{"failed": reason}``.  The largest relative change and
+    its path, then, when both carry an allocation objective, its signed
+    relative change and path."""
     if isinstance(new, dict):
         return f"failed: {new['failed']}"
     if old is None or isinstance(old, dict):
         return "missing from the dump" if old is None else f"was failed: {old['failed']}"
     try:
-        rel, path = largest_change(json.loads(old), json.loads(new))
+        old, new = json.loads(old), json.loads(new)
     except ValueError:
         return "output is not JSON"
-    return f"{rel:.3g} {path}"
+    rel, path = largest_change(old, new)
+    objective = objective_change(old, new)
+    return f"{rel:.3g} {path}" + ("" if objective is None else " {:+.3g} {}".format(*objective))
 
 
 def main(argv: list[str] | None = None) -> int:

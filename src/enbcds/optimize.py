@@ -17,6 +17,10 @@ analytic marginal ``-1 - sum p * L * g'(s)``; find ``lam`` itself by the
 same root finder on the summed spends less the budget, down to adjacent
 floats; then split the budget between the spends at the two ends of the
 final ``lam`` bracket, which sum to at most and to more than the budget.
+Each spend falls as ``lam`` rises, so each probe of ``lam`` brackets a
+GDF's spend between its spends at the nearest ``lam`` tried on either side
+rather than on ``[0, peak]``: the brackets narrow with the search, and so
+do the root finds in them.
 Non-mandatory GDFs whose coupled net benefit is negative at their
 allocated spend are dropped, their budget freed, and the program re-solved
 until the drop set is stable.  With edges the coupled objective is polished
@@ -258,15 +262,16 @@ def _standalone_marginal(x: Gdf) -> Callable[[float], float]:
     return marginal
 
 
-def _separable_marginal(x: Gdf, s: float, lam: float) -> float:
-    """Marginal of ``x`` at ``s`` as ``allocate`` reports it without edges.
+def _separable_marginal(x: Gdf, s: float, lam: float, f0: dict[str, float]) -> float:
+    """Marginal of ``x`` at ``s`` as ``allocate`` reports it without edges;
+    ``f0`` is ``allocate``'s f(0) table.
 
     A Table GDF's water-fill root sits on a knot, where its marginal steps
     past ``lam``, within the root finder's closing width (1e-13 of a bracket
     of at most ``f(0)``); so away from 0 this is the subgradient nearest
     ``lam`` over ``d = 1e-12 * f(0)`` either side of ``s``.
     """
-    m, d = _standalone_marginal(x), 1e-12 * expected_cyber_cost(x, 0.0)
+    m, d = _standalone_marginal(x), 1e-12 * f0[x.id]
     return m(s) if s <= d else min(max(lam, m(s + d)), m(s - d))
 
 
@@ -346,22 +351,26 @@ class AllocationResult:
     sweep_objectives: tuple[float, ...]
 
 
-def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
-    """Separable concave allocation by a root find on the shared marginal.
+def _water_fill(gdfs, budget: float | None, f0: dict[str, float]) -> tuple[dict[str, float], float]:
+    """Separable concave allocation by a root find on the shared marginal;
+    ``f0`` is ``allocate``'s f(0) table, which tops each peak's bracket.
 
-    Each spend at ``lam`` is one root find on ``[0, peak]``: 0 where the
-    marginal starts at or below ``lam``, the peak where it never falls to it.
-    The spends summed over GDFs fall as ``lam`` rises, from the peaks at 0
-    to all 0 at the largest marginal at 0, so ``lam`` is one more root find
+    Each GDF's spend falls as ``lam`` rises, from its peak at 0 to 0 at its
+    marginal at 0, so their sum does too, and ``lam`` is one root find on it
     (Everett's multiplier search, Operations Research 11(3), 1963), closed
-    down to adjacent floats.  The spends found at its final bracket's upper
-    end sum to at most the budget and those at its lower end to more; the
-    spends ``theta`` of the way from the first to the second sum to the
-    budget (or, rounded above it, lower ``theta`` to where they fit), and
-    fill Table plateaus.
+    down to adjacent floats.  At each ``lam`` probed, each spend is one root
+    find between its spends at the nearest ``lam`` tried below and above,
+    which bracket it by that monotonicity (the first probe's brackets are
+    ``[0, peak]``), so the brackets narrow as the search closes in.  A root
+    find gives the bracket's lower end where the marginal there is at or
+    below ``lam``, its upper end where the marginal never falls to it.  The
+    spends found at the final bracket's upper end sum to at most the budget
+    and those at its lower end to more; the spends ``theta`` of the way from
+    the first to the second sum to the budget (or, rounded above it, lower
+    ``theta`` to where they fit), and fill Table plateaus.
     """
     marginals = {x.id: _standalone_marginal(x) for x in gdfs}
-    peaks = {x.id: _root(marginals[x.id], 0.0, expected_cyber_cost(x, 0.0), 0.0) for x in gdfs}
+    peaks = {x.id: _root(marginals[x.id], 0.0, f0[x.id], 0.0) for x in gdfs}
     if budget is None or sum(peaks.values()) <= budget:
         return peaks, 0.0  # slack budget: everyone at their own peak
 
@@ -370,7 +379,11 @@ def _water_fill(gdfs, budget: float | None) -> tuple[dict[str, float], float]:
 
     def used(lam: float) -> float:
         if lam not in found:
-            found[lam] = {xid: _root(m, 0.0, peaks[xid], lam) for xid, m in marginals.items()}
+            # each spend falls as lam rises: bracket it by its spends at the
+            # nearest lam tried on either side, in either order after rounding
+            below = found[max(t for t in found if t < lam)]
+            above = found[min(t for t in found if t > lam)]
+            found[lam] = {xid: _root(m, *sorted((above[xid], below[xid])), lam) for xid, m in marginals.items()}
         return sum(found[lam].values())
 
     # above every marginal at half an even share, each spend is below that
@@ -572,7 +585,7 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         rounds += 1
         sub = restrict_portfolio(p, kept)
         if mode == ADDITIVE:
-            spends, lam = _water_fill(sub.gdfs, effective)
+            spends, lam = _water_fill(sub.gdfs, effective, f0)
         else:
             spends, skipped = _grid_spends(sub.gdfs, effective, mode)
             if skipped:
@@ -599,7 +612,7 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
 
     def marginal(x: Gdf) -> float:
         if not sub.edges and mode == ADDITIVE:
-            return _separable_marginal(x, spends[x.id], lam)
+            return _separable_marginal(x, spends[x.id], lam, f0)
         # without edges the slope is the GDF's own: differencing the whole sum
         # would lose digits to the rounding of the other GDFs' values
         own = total if sub.edges else lambda sp: total.values(sp)[x.id]

@@ -68,8 +68,40 @@ def test_op_digests_dump_and_against_name_the_moved_number(tmp_path, capsys):
     dump.write_text(json.dumps(outputs))
     assert main(argv + ["--against", str(dump)]) == 0
     (line,) = capsys.readouterr().out.splitlines()
-    assert line.startswith(key + " ") and line.endswith(" /objective")
-    assert float(line.split(" ")[-2]) == pytest.approx(1e-9, rel=1e-3)
+    assert line.startswith(key + " ")
+    rel, path = line[len(key) + 1 :].split(" ")[:2]
+    assert path == "/objective"
+    assert float(rel) == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_op_digests_against_appends_the_signed_objective_change(tmp_path, capsys):
+    main, dump = _main("op_digests.py"), tmp_path / "ops.json"
+    argv = ["--workload", "alloc-coupled", "--seed", "1"]
+    assert main(argv + ["--dump", str(dump)]) == 0
+    capsys.readouterr()
+    outputs = json.loads(dump.read_text())
+
+    # the dumped objective a little below today's, and a spend moved further
+    key = sorted(outputs)[0]
+    doc = json.loads(outputs[key])
+    doc["objective"] -= 1e-9 * abs(doc["objective"])
+    gid = next(g for g, s in doc["spends"].items() if s > 0.0)
+    doc["spends"][gid] *= 1.0 + 1e-6
+    outputs[key] = json.dumps(doc)
+    dump.write_text(json.dumps(outputs))
+    assert main(argv + ["--against", str(dump)]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(key + " ")
+    rel, path, objective, objective_path = line[len(key) + 1 :].split(" ")
+    assert (path, objective_path) == (f"/spends/{gid}", "/objective")
+    assert float(rel) == pytest.approx(1e-6, rel=1e-3)
+    assert objective.startswith("+") and float(objective) == pytest.approx(1e-9, rel=1e-3)
+
+    # report carries it under allocation; a document without one gets none
+    describe = runpy.run_path(str(SCRIPTS / "op_digests.py"))["describe_change"]
+    old, new = ({"allocation": {"objective": v}, "n": 1} for v in (2.0, 1.0))
+    assert describe(json.dumps(old), json.dumps(new)) == "0.5 /allocation/objective -0.5 /allocation/objective"
+    assert describe('{"n": 1}', '{"n": 2}') == "0.5 /n"
 
 
 def test_op_digests_exits_1_when_an_op_fails(monkeypatch, capsys):

@@ -29,7 +29,7 @@ from enbcds import (
     restrict_portfolio,
 )
 from enbcds import optimize
-from enbcds.evaluate import CoupledTotal
+from enbcds.evaluate import CoupledTotal, expected_cyber_cost
 from enbcds.optimize import (
     _bisect_decreasing,
     _brent_max,
@@ -60,6 +60,11 @@ from oracles import (
 #   gl1: (alpha*s + 1)**(beta + 1) = p*L*alpha*beta / (1 + lam)
 #   exp: exp(kappa*s) = p*L*kappa / (1 + lam)
 # and the spend is clamped at 0 where m(0) <= lam.
+
+
+def f0_table(gdfs) -> dict[str, float]:
+    """``allocate``'s f(0) table: each GDF's expected loss at spend 0."""
+    return {x.id: expected_cyber_cost(x, 0.0) for x in gdfs}
 
 
 def inverse_marginal(x: Gdf, lam: float) -> float:
@@ -99,17 +104,26 @@ class TestRootFinderAgainstClosedForms:
     @pytest.mark.parametrize("seed", [3, 17, 29])
     def test_peaks_match_inverse_marginal_at_zero(self, seed):
         gdfs = single_attack_gdfs(seed, 8)
-        peaks, lam = _water_fill(gdfs, None)
+        peaks, lam = _water_fill(gdfs, None, f0_table(gdfs))
         assert lam == 0.0
         assert any(peaks.values())
         for x in gdfs:
             assert peaks[x.id] == pytest.approx(inverse_marginal(x, 0.0), rel=1e-9)
 
     @pytest.mark.parametrize("share", [0.05, 0.3, 0.7])
-    def test_spends_match_inverse_marginal_at_lam(self, share):
+    def test_spends_match_inverse_marginal_at_lam(self, share, monkeypatch):
         gdfs = single_attack_gdfs(41, 10)
         budget = share * sum(inverse_marginal(x, 0.0) for x in gdfs)
-        spends, lam = _water_fill(gdfs, budget)
+        searches = []  # the fill's search for lam: its summed spends and final bracket
+
+        def recorded(fn, lo, hi, target, tol):
+            bracket = _bisect_decreasing(fn, lo, hi, target, tol)
+            if target == budget:
+                searches.append((fn, bracket))
+            return bracket
+
+        monkeypatch.setattr(optimize, "_bisect_decreasing", recorded)
+        spends, lam = _water_fill(gdfs, budget, f0_table(gdfs))
         assert lam > 0.0
         assert sum(spends.values()) == pytest.approx(budget, rel=1e-9)
         for x in gdfs:
@@ -117,12 +131,9 @@ class TestRootFinderAgainstClosedForms:
             assert spends[x.id] == pytest.approx(inverse_marginal(x, lam), rel=1e-9, abs=1e-12 * peak)
         assert lam == pytest.approx(closed_form_lam(gdfs, budget), rel=1e-11)
         # and closed down to adjacent floats: one float below, the spends exceed the budget
-        peaks, _ = _water_fill(gdfs, None)
-
-        def used(at):
-            return sum(_root(_standalone_marginal(x), 0.0, peaks[x.id], at) for x in gdfs)
-
-        assert used(math.nextafter(lam, 0.0)) > budget >= used(lam)
+        ((used, (lo, hi)),) = searches
+        assert hi == lam and lo == math.nextafter(hi, 0.0)
+        assert used(lo) > budget >= used(hi)
 
     def test_returns_lo_when_target_is_not_above_fn_lo(self):
         assert _root(lambda s: 1.0 - s, 0.25, 2.0, 0.75) == 0.25
@@ -203,9 +214,9 @@ class TestRootFinderOnTable:
             dataclasses.replace(TABLE_GDF, id=f"tbl-{i}", attacks=(dataclasses.replace(TABLE_ATTACK, loss=(1 + i) * 1e5),))
             for i in range(3)
         ]
-        peaks, _ = _water_fill(gdfs, None)
+        peaks, _ = _water_fill(gdfs, None, f0_table(gdfs))
         budget = 0.5 * sum(peaks.values())
-        spends, lam = _water_fill(gdfs, budget)
+        spends, lam = _water_fill(gdfs, budget, f0_table(gdfs))
         assert sum(spends.values()) == pytest.approx(budget, rel=1e-12)
         for x in gdfs:
             m = _standalone_marginal(x)
@@ -222,7 +233,7 @@ class TestRootFinderOnTable:
             dataclasses.replace(TABLE_GDF, id=f"tbl-{i}", attacks=(dataclasses.replace(TABLE_ATTACK, loss=loss),))
             for i, loss in enumerate((1e5, 3e5))
         ]
-        spends, lam = _water_fill(gdfs, 3e4)
+        spends, lam = _water_fill(gdfs, 3e4, f0_table(gdfs))
         assert lam == pytest.approx(0.5, rel=1e-12)
         assert sum(spends.values()) == pytest.approx(3e4, rel=1e-12)
         assert spends["tbl-0"] == pytest.approx(1e4, rel=1e-12)
@@ -241,16 +252,16 @@ BELOW_ZERO_GDF = Gdf(
 @pytest.mark.parametrize("seed", range(6))
 def test_water_fill_contract_from_zero_budget_to_the_summed_peaks(seed):
     gdfs = list(random_portfolio(make_rng(seed), 6, padded=False).gdfs) + [NO_ATTACK_GDF, BELOW_ZERO_GDF]
-    peaks, _ = _water_fill(gdfs, None)
+    peaks, _ = _water_fill(gdfs, None, f0_table(gdfs))
     assert sum(peaks.values()) > 0.0
 
-    spends, lam = _water_fill(gdfs, 0.0)
+    spends, lam = _water_fill(gdfs, 0.0, f0_table(gdfs))
     assert all(v == 0.0 for v in spends.values())
     assert lam == max(_standalone_marginal(x)(0.0) for x in gdfs)
 
     for share in (0.05, 0.3, 0.7):
         budget = share * sum(peaks.values())
-        spends, _ = _water_fill(gdfs, budget)
+        spends, _ = _water_fill(gdfs, budget, f0_table(gdfs))
         assert sum(spends.values()) == pytest.approx(budget, rel=1e-12)
         assert spends[NO_ATTACK_GDF.id] == 0.0 and spends[BELOW_ZERO_GDF.id] == 0.0
         assert all(0.0 <= spends[x.id] <= peaks[x.id] for x in gdfs)
@@ -259,10 +270,10 @@ def test_water_fill_contract_from_zero_budget_to_the_summed_peaks(seed):
     # at a lam near 0 can land a hair below its peak; this seed's share of 0-39
     for s in range(seed, 40, 6):
         gdfs = random_portfolio(make_rng(s), 5, padded=False).gdfs
-        peaks, _ = _water_fill(gdfs, None)
+        peaks, _ = _water_fill(gdfs, None, f0_table(gdfs))
         for share in (1.0 - 1e-16, 1.0 - 1e-15, 1.0 - 1e-14):
             budget = share * sum(peaks.values())
-            spends, _ = _water_fill(gdfs, budget)
+            spends, _ = _water_fill(gdfs, budget, f0_table(gdfs))
             assert all(math.isfinite(v) and v >= 0.0 for v in spends.values())
             assert sum(spends.values()) == pytest.approx(budget, rel=1e-12)
 
@@ -270,7 +281,7 @@ def test_water_fill_contract_from_zero_budget_to_the_summed_peaks(seed):
 def test_water_fill_root_finds_lam_in_a_few_dozen_passes(monkeypatch):
     # 100 fixed halvings of lam would make 64 + 100 * 64 root-finder calls
     gdfs = random_portfolio(make_rng(0), 64, padded=False).gdfs
-    peaks, _ = _water_fill(gdfs, None)
+    peaks, _ = _water_fill(gdfs, None, f0_table(gdfs))
     calls = []
 
     def counted(*args, **kwargs):
@@ -278,9 +289,29 @@ def test_water_fill_root_finds_lam_in_a_few_dozen_passes(monkeypatch):
         return _bisect_decreasing(*args, **kwargs)
 
     monkeypatch.setattr(optimize, "_bisect_decreasing", counted)
-    spends, _ = _water_fill(gdfs, 0.5 * sum(peaks.values()))
+    spends, _ = _water_fill(gdfs, 0.5 * sum(peaks.values()), f0_table(gdfs))
     assert sum(spends.values()) == pytest.approx(0.5 * sum(peaks.values()), rel=1e-12)
     assert len(calls) <= 40 * 64
+
+
+def test_water_fill_brackets_each_spend_by_its_neighbours(monkeypatch):
+    # cold root finds on [0, peak] at every lam take about 28,900 marginal
+    # evaluations here; brackets from the spends at the nearest lam tried
+    # on either side take about a third of that
+    gdfs = random_portfolio(make_rng(0), 64, padded=False).gdfs
+    f0 = f0_table(gdfs)
+    peaks, _ = _water_fill(gdfs, None, f0)
+    pull, calls = optimize._pull, 0
+
+    def counted(attacks, s):
+        nonlocal calls
+        calls += 1
+        return pull(attacks, s)
+
+    monkeypatch.setattr(optimize, "_pull", counted)
+    spends, _ = _water_fill(gdfs, 0.5 * sum(peaks.values()), f0)
+    assert sum(spends.values()) == pytest.approx(0.5 * sum(peaks.values()), rel=1e-12)
+    assert calls <= 15_000
 
 
 def test_water_fill_closes_lam_under_a_marginal_hundreds_of_orders_above_it():
@@ -289,15 +320,15 @@ def test_water_fill_closes_lam_under_a_marginal_hundreds_of_orders_above_it():
     gdfs = list(random_portfolio(make_rng(2), 6, padded=False).gdfs)
     steep = dataclasses.replace(gdfs[0].attacks[0], breach=GordonLoebI(alpha=5e-6, beta=1e300))
     gdfs[0] = dataclasses.replace(gdfs[0], attacks=(steep, *gdfs[0].attacks[1:]))
-    peaks, _ = _water_fill(gdfs, None)
+    peaks, _ = _water_fill(gdfs, None, f0_table(gdfs))
     budget = 0.5 * sum(peaks.values())
-    spends, lam = _water_fill(gdfs, budget)
+    spends, lam = _water_fill(gdfs, budget, f0_table(gdfs))
     assert lam < 10.0
     assert sum(spends.values()) == pytest.approx(budget, rel=1e-12)
     interior = [x for x in gdfs if 0.0 < spends[x.id] < peaks[x.id]]
     assert len(interior) >= 2
     for x in interior:
-        assert _separable_marginal(x, spends[x.id], lam) == pytest.approx(lam, rel=1e-9)
+        assert _separable_marginal(x, spends[x.id], lam, f0_table(gdfs)) == pytest.approx(lam, rel=1e-9)
 
 
 def test_water_fill_never_spends_past_a_tiny_budget():
@@ -305,10 +336,10 @@ def test_water_fill_never_spends_past_a_tiny_budget():
     # the bracket's tightened top holds only if its spends fit the budget
     for seed in range(40):
         gdfs = random_portfolio(make_rng(seed), 8, padded=False).gdfs
-        peaks, _ = _water_fill(gdfs, None)
+        peaks, _ = _water_fill(gdfs, None, f0_table(gdfs))
         for share in (1e-15, 1e-13, 1e-12, 1e-11, 1e-9, 1e-6, 1e-3, 0.05, 0.3):
             budget = share * sum(peaks.values())
-            spends, _ = _water_fill(gdfs, budget)
+            spends, _ = _water_fill(gdfs, budget, f0_table(gdfs))
             assert sum(spends.values()) <= budget
 
 
@@ -382,10 +413,11 @@ def test_mixed_separable_certificate_is_tight_and_exact(seed):
 
     # the same reporting code, one Table spend moved off its kink: the
     # certificate must catch it
+    f0 = f0_table(p.gdfs)
     for x in kinked:
         moved = {**r.spends, x.id: r.spends[x.id] + 1e-6 * oracle_f(x, 0.0)}
-        assert _separable_marginal(x, r.spends[x.id], r.lam) == r.marginal_at_solution[x.id]
-        marginals = [_separable_marginal(p.gdf(g), moved[g], r.lam) for g in inner]
+        assert _separable_marginal(x, r.spends[x.id], r.lam, f0) == r.marginal_at_solution[x.id]
+        marginals = [_separable_marginal(p.gdf(g), moved[g], r.lam, f0) for g in inner]
         assert relative_spread(marginals) > 1e-4
 
 
