@@ -14,6 +14,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 import pathlib
 import sys
 
@@ -34,6 +35,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="largest budget (default: sum of standalone optima)")
     parser.add_argument("-o", "--output", default=None, help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
+    if args.steps < 1:
+        parser.error(f"--steps must be at least 1, got {args.steps}")
+    if args.max is not None and not (math.isfinite(args.max) and args.max >= 0.0):
+        parser.error(f"--max must be finite and >= 0, got {args.max!r}")
 
     if args.scenario in bundled_scenario_names():
         text = bundled_scenario_text(args.scenario)

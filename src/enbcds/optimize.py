@@ -10,10 +10,11 @@ additive curve is concave in spend, so its grid is the two ends alone.
 
 Portfolio: maximize the summed net benefit subject to a shared budget.
 Without dependency edges the problem is separable and concave, so
-water-filling applies: give each GDF the spend where its own marginal
-equals a common value ``lam`` (clamped to ``[0, s*]``), found by a
-tolerance-terminated bracketed root finder (Illinois false position) on the
-analytic marginal ``-1 - sum p * L * g'(s)``; find ``lam`` itself by the
+water-filling applies: each GDF's spend solves the first-order condition
+``pull(s) = 1 + lam`` on ``[0, s*]``, where ``pull(s) = sum p * L * |g'(s)|``
+is the expected loss one more dollar of defense saves (Gordon & Loeb, ACM
+TISSEC 5(4), 2002) and ``s*`` solves it at ``lam = 0``, by a bracketed root
+finder (Illinois false position) that stops at a tolerance; find ``lam`` by the
 same root finder on the summed spends less the budget, down to adjacent
 floats; then split the budget between the spends at the two ends of the
 final ``lam`` bracket, which sum to at most and to more than the budget.
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .evaluate import ADDITIVE, CoupledTotal, EvalContext, _net_curve, check_mode, enb, expected_cyber_cost
@@ -250,29 +252,17 @@ def _root(fn: Callable[[float], float], lo: float, hi: float, target: float) -> 
     return a if a == b else 0.5 * (a + b)
 
 
-def _standalone_marginal(x: Gdf) -> Callable[[float], float]:
-    """d(net benefit)/d(spend) for ``x`` alone, additive mode, no parents:
-    ``-1 - sum p * L * g'(s)`` from each breach model's analytic slope, the
-    right derivative at a Table knot."""
-    attacks = x.attacks
-
-    def marginal(s: float) -> float:
-        return _pull(attacks, s) - 1.0
-
-    return marginal
-
-
 def _separable_marginal(x: Gdf, s: float, lam: float, f0: dict[str, float]) -> float:
-    """Marginal of ``x`` at ``s`` as ``allocate`` reports it without edges;
-    ``f0`` is ``allocate``'s f(0) table.
+    """Marginal ``pull(s) - 1`` of ``x`` at ``s`` as ``allocate`` reports it
+    without edges; ``f0`` is ``allocate``'s f(0) table.
 
     A Table GDF's water-fill root sits on a knot, where its marginal steps
     past ``lam``, within the root finder's closing width (1e-13 of a bracket
     of at most ``f(0)``); so away from 0 this is the subgradient nearest
     ``lam`` over ``d = 1e-12 * f(0)`` either side of ``s``.
     """
-    m, d = _standalone_marginal(x), 1e-12 * f0[x.id]
-    return m(s) if s <= d else min(max(lam, m(s + d)), m(s - d))
+    pull, d = partial(_pull, x.attacks), 1e-12 * f0[x.id]
+    return pull(s) - 1.0 if s <= d else min(max(lam, pull(s + d) - 1.0), pull(s - d) - 1.0)
 
 
 def _coupled_marginal(
@@ -352,29 +342,30 @@ class AllocationResult:
 
 
 def _water_fill(gdfs, budget: float | None, f0: dict[str, float]) -> tuple[dict[str, float], float]:
-    """Separable concave allocation by a root find on the shared marginal;
-    ``f0`` is ``allocate``'s f(0) table, which tops each peak's bracket.
+    """Separable concave allocation: each spend solves ``pull(s) = 1 + lam``
+    for one shared ``lam``; ``f0`` is ``allocate``'s f(0) table, which tops
+    each peak's bracket.
 
-    Each GDF's spend falls as ``lam`` rises, from its peak at 0 to 0 at its
-    marginal at 0, so their sum does too, and ``lam`` is one root find on it
-    (Everett's multiplier search, Operations Research 11(3), 1963), closed
+    Each GDF's spend falls as ``lam`` rises, from its peak at 0 to 0 at
+    ``pull(0) - 1``, so their sum does too, and ``lam`` is one root find on
+    it (Everett's multiplier search, Operations Research 11(3), 1963), closed
     down to adjacent floats.  At each ``lam`` probed, each spend is one root
     find between its spends at the nearest ``lam`` tried below and above,
     which bracket it by that monotonicity (the first probe's brackets are
     ``[0, peak]``), so the brackets narrow as the search closes in.  A root
-    find gives the bracket's lower end where the marginal there is at or
-    below ``lam``, its upper end where the marginal never falls to it.  The
+    find gives the bracket's lower end where the pull there is at or below
+    ``1 + lam``, its upper end where the pull never falls to it.  The
     spends found at the final bracket's upper end sum to at most the budget
     and those at its lower end to more; the spends ``theta`` of the way from
     the first to the second sum to the budget (or, rounded above it, lower
     ``theta`` to where they fit), and fill Table plateaus.
     """
-    marginals = {x.id: _standalone_marginal(x) for x in gdfs}
-    peaks = {x.id: _root(marginals[x.id], 0.0, f0[x.id], 0.0) for x in gdfs}
+    pulls = {x.id: partial(_pull, x.attacks) for x in gdfs}
+    peaks = {x.id: _root(pulls[x.id], 0.0, f0[x.id], 1.0) for x in gdfs}
     if budget is None or sum(peaks.values()) <= budget:
         return peaks, 0.0  # slack budget: everyone at their own peak
 
-    top = max(m(0.0) for m in marginals.values())
+    top = max(pull(0.0) for pull in pulls.values()) - 1.0
     found = {0.0: peaks, top: dict.fromkeys(peaks, 0.0)}  # the spends at each lam tried
 
     def used(lam: float) -> float:
@@ -383,12 +374,12 @@ def _water_fill(gdfs, budget: float | None, f0: dict[str, float]) -> tuple[dict[
             # nearest lam tried on either side, in either order after rounding
             below = found[max(t for t in found if t < lam)]
             above = found[min(t for t in found if t > lam)]
-            found[lam] = {xid: _root(m, *sorted((above[xid], below[xid])), lam) for xid, m in marginals.items()}
+            found[lam] = {xid: _root(pull, *sorted((above[xid], below[xid])), 1.0 + lam) for xid, pull in pulls.items()}
         return sum(found[lam].values())
 
     # above every marginal at half an even share, each spend is below that
     # share, so that lam tops the bracket if its spends (to root width) fit
-    tight = max(m(0.5 * budget / len(marginals)) for m in marginals.values())
+    tight = max(pull(0.5 * budget / len(pulls)) for pull in pulls.values()) - 1.0
     if 0.0 < tight < top and used(tight) <= budget:
         top = tight
     lo, hi = _bisect_decreasing(used, 0.0, top, budget, 0.0)

@@ -283,6 +283,11 @@ class TestTable:
         with pytest.raises(ModelError):
             Table(knots=((0.0, 1.0), (10.0, 0.0)))
 
+    @pytest.mark.parametrize("knot", [(math.inf, 0.5), (1.0, math.nan)])
+    def test_non_finite_knot_rejected(self, knot):
+        with pytest.raises(ModelError, match="Table knots must be finite"):
+            Table(knots=((0.0, 1.0), knot))
+
     def test_constant_extrapolation_past_last_knot(self):
         t = Table(knots=((0.0, 1.0), (10.0, 0.5), (30.0, 0.4)))
         assert t.multiplier(30.0) == t.multiplier(1e9) == 0.4

@@ -31,6 +31,26 @@ def test_sweep_budget_writes_one_row_per_budget_level(tmp_path, capsys):
     assert "wrote 4 rows" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--steps", "0"], "--steps must be at least 1, got 0"),
+        (["--steps", "-1"], "--steps must be at least 1, got -1"),
+        (["--max", "-5"], "--max must be finite and >= 0, got -5.0"),
+        (["--max", "inf"], "--max must be finite and >= 0, got inf"),
+        (["--max", "nan"], "--max must be finite and >= 0, got nan"),
+    ],
+)
+def test_sweep_budget_rejects_a_step_count_or_top_budget_out_of_range(argv, message, capsys):
+    # --steps 0 divided by zero, --max -5 ended in a BudgetInfeasibleError
+    # traceback and --steps -1 printed only the header and exited 0
+    with pytest.raises(SystemExit) as exit_:
+        _main("sweep_budget.py")(["three-gdfs-comparison", *argv])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_make_figures_renders_every_bundled_scenario(tmp_path):
     assert _main("make_figures.py")(["--out", str(tmp_path)]) == 0
     for name in bundled_scenario_names():
