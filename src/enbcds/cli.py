@@ -25,7 +25,7 @@ from .evaluate import (
 )
 from .io import allocation_to_dict, curve_to_dict, emit_curve, emit_report, parse_scenario
 from .model import Portfolio
-from .optimize import OptimizationError, allocate, marginal_spread, optimal_spend
+from .optimize import OptimizationError, allocate, optimal_spend
 from .sensitivity import SensitivityError, sample
 
 __all__ = ["main"]
@@ -128,25 +128,10 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _kkt_summary(result) -> dict:
-    spread = marginal_spread(result.marginal_at_solution, result.interior)
-    lam = result.lam if result.lam is not None else 0.0
-    zero_ok = all(
-        result.marginal_at_solution[i] <= lam + 1e-4
-        for i, s in result.spends.items()
-        if i in result.marginal_at_solution and s == 0.0 and i not in result.dropped
-    )
-    return {
-        "interior_count": sum(result.interior.values()),
-        "marginal_spread_rel": spread,
-        "zero_spend_ok": zero_ok,
-    }
-
-
 def _cmd_allocate(args) -> int:
     sf = _load(args)
     result = allocate(sf.portfolio, budget=args.budget, mode=args.mode)
-    kkt = _kkt_summary(result)
+    kkt = result.kkt
     if args.json:
         _emit_json({**allocation_to_dict(result), "kkt": kkt}, args.output)
         return 0

@@ -65,7 +65,6 @@ __all__ = [
     "optimal_spend",
     "mandatory_min_loss",
     "allocate",
-    "marginal_spread",
 ]
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section step, as a share of the bracket
@@ -328,6 +327,9 @@ class AllocationResult:
     raised when the budget binds, since with slack every retained GDF sits
     at its own peak and the residual marginals there are solver noise.
     ``sweep_objectives`` records the objective after each refinement sweep.
+    ``kkt`` is the certificate: the interior count, the interior marginals'
+    relative spread, and whether each retained GDF at spend 0 has a marginal
+    of at most ``lam + 1e-4`` (``lam`` read as 0 in literal mode).
     """
 
     spends: dict[str, float]
@@ -339,6 +341,7 @@ class AllocationResult:
     interior: dict[str, bool]
     iterations: int
     sweep_objectives: tuple[float, ...]
+    kkt: dict[str, int | float | bool]
 
 
 def _water_fill(gdfs, budget: float | None, f0: dict[str, float]) -> tuple[dict[str, float], float]:
@@ -397,24 +400,20 @@ def _water_fill(gdfs, budget: float | None, f0: dict[str, float]) -> tuple[dict[
     return mix(theta), hi
 
 
-def _interior(
+def _certificate(
     spends: dict[str, float], marginals: dict[str, float], budget: float | None, scale: float
-) -> dict[str, bool]:
-    """GDFs whose marginals should all equal ``lam``: funded, with a positive
-    marginal, and only while the budget binds."""
+) -> tuple[dict[str, bool], float]:
+    """The KKT certificate's interior flags, on GDFs whose marginals should
+    all equal ``lam`` (funded, with a marginal above 1e-7, and only while a
+    budget binds), and the relative spread ``(max - min) / max(|max|, |min|)``
+    of their marginals, 0 with fewer than two (so the divisor is above 1e-7)."""
     exhausted = budget is not None and sum(spends.values()) >= budget - 1e-6 * max(1.0, budget)
-    return {i: exhausted and spends[i] > 1e-12 * scale and m > 1e-7 for i, m in marginals.items()}
-
-
-def marginal_spread(marginals: dict[str, float], interior: dict[str, bool]) -> float:
-    """Relative spread ``(max - min) / max(|max|, |min|)`` of the interior
-    marginals, which the KKT certificate asks to be equal; 0 with fewer than
-    two.  An interior marginal is above 1e-7, so the divisor is too."""
+    interior = {i: exhausted and spends[i] > 1e-12 * scale and m > 1e-7 for i, m in marginals.items()}
     inner = [marginals[i] for i, inside in interior.items() if inside]
     if len(inner) < 2:
-        return 0.0
+        return interior, 0.0
     lo, hi = min(inner), max(inner)
-    return (hi - lo) / max(abs(hi), abs(lo))
+    return interior, (hi - lo) / max(abs(hi), abs(lo))
 
 
 def _refine_with_edges(
@@ -484,7 +483,7 @@ def _refine_with_edges(
             # a small objective gain can hide a loose certificate where the
             # objective is flat; sweep on while that spread keeps halving
             marginals = {xid: _coupled_marginal(objective, spends, xid, f0, scale) for xid in ids}
-            spread = marginal_spread(marginals, _interior(spends, marginals, budget, scale))
+            _, spread = _certificate(spends, marginals, budget, scale)
             if spread <= 1e-5 or spread > 0.5 * last_spread:
                 break
             last_spread = spread
@@ -611,14 +610,14 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
 
     objective = float(sum(values[x.id] for x in sub.gdfs))
     marginals = {x.id: marginal(x) for x in sub.gdfs}
-    if mode == ADDITIVE:
-        interior = _interior(spends, marginals, effective, scale)
-        if sub.edges and any(interior.values()):
-            from statistics import median  # local import: only coupled allocation takes a median
+    interior, spread = _certificate(spends, marginals, effective if mode == ADDITIVE else None, scale)
+    if mode != ADDITIVE:
+        lam = None
+    elif sub.edges and any(interior.values()):
+        from statistics import median  # local import: only coupled allocation takes a median
 
-            lam = median(marginals[i] for i, inside in interior.items() if inside)
-    else:
-        lam, interior = None, {x.id: False for x in sub.gdfs}
+        lam = median(marginals[i] for i, inside in interior.items() if inside)
+    bound = (0.0 if lam is None else lam) + 1e-4
 
     full = {i: spends.get(i, 0.0) for i in p.ids()}
     return AllocationResult(
@@ -631,4 +630,9 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         interior=interior,
         iterations=rounds + total_sweeps,
         sweep_objectives=tuple(sweep_objectives or [objective]),
+        kkt={
+            "interior_count": sum(interior.values()),
+            "marginal_spread_rel": spread,
+            "zero_spend_ok": all(m <= bound for i, m in marginals.items() if spends[i] == 0.0),
+        },
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 import re
 import xml.etree.ElementTree as ET
 
@@ -40,6 +41,7 @@ from enbcds import (
     serialize_scenario,
 )
 
+from enbcds import io as scenario_io
 from enbcds.sensitivity import SensitivityError, UncertainParam, sample, target_field
 
 from oracles import make_rng, random_portfolio
@@ -744,3 +746,65 @@ class TestEmitReport:
         assert x.actual_spend is None
         text = emit_report(p, {x.id: optimal_spend(x)})
         assert "fund at" in text
+
+
+# --------------------------------------------------------------------------
+# docs/schema.md against the reader's tables
+
+SCHEMA_DOC = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schema.md"
+
+
+def schema_doc_tables() -> dict[tuple[str, str], list[list[str]]]:
+    """Each table of the schema doc, keyed by the heading above it and its
+    first header cell, as its body rows of stripped cells."""
+    tables, heading, rows = {}, "", None
+    for line in SCHEMA_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            heading = line.lstrip("#").strip()
+        elif line.startswith("|"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if rows is None:
+                rows = tables[heading, cells[0]] = []
+            elif set(line) - set("|- "):  # not the header's separator row
+                rows.append(cells)
+        else:
+            rows = None
+    return tables
+
+
+def backticked(cell: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", cell)
+
+
+@pytest.mark.parametrize("heading, record", [
+    ("`portfolio`", scenario_io._PORTFOLIO),
+    ("GDF entries (`portfolio/gdfs/<i>`)", scenario_io._GDF),
+    ("Attack entries (`.../attacks/<j>`)", scenario_io._ATTACK),
+    ("Adverse events (`.../adverse/<j>`)", scenario_io._ADVERSE),
+    ("Dependency edges (`portfolio/edges/<i>`)", scenario_io._EDGE),
+], ids=["portfolio", "gdf", "attack", "adverse", "edge"])
+def test_schema_doc_lists_each_objects_fields_in_the_readers_order(heading, record):
+    # errors are reported in the order of these tables, so the order is part
+    # of the contract, and so is which fields are required
+    rows = schema_doc_tables()[heading, "field"]
+    assert [backticked(row[0]) for row in rows] == [[name] for name, *_ in record.readers]
+    assert [row[2] for row in rows] == ["yes" if default is scenario_io._REQUIRED else "no"
+                                        for *_, default in record.readers]
+    assert "then the known fields in the order of the object's table above" in " ".join(
+        SCHEMA_DOC.read_text(encoding="utf-8").split())
+
+
+@pytest.mark.parametrize("heading, tag, union", [
+    ("Breach families (`.../breach`)", "`family`", scenario_io._BREACH),
+    ("Uncertainty entries (`uncertainty/<i>`)", "`kind`", scenario_io._DISTRIBUTION),
+], ids=["breach", "distribution"])
+def test_schema_doc_names_each_variant_and_its_fields(heading, tag, union):
+    rows = schema_doc_tables()[heading, tag]
+    assert [(backticked(row[0]), backticked(row[1])) for row in rows] == [
+        ([name], [field for field, *_ in variant.readers]) for name, variant in union.variants.items()
+    ]
+    # a field the variant may leave out is marked "(opt.)"
+    assert [[f for f in backticked(row[1]) if f"`{f}` (opt.)" in row[1]] for row in rows] == [
+        [field for field, *_, default in variant.readers if default is not scenario_io._REQUIRED]
+        for variant in union.variants.values()
+    ]

@@ -478,6 +478,53 @@ class TestAllocate:
         assert curve.peak_value == pytest.approx(best.value, rel=1e-12)
 
 
+def kkt_by_definition(r) -> dict:
+    """The KKT certificate recomputed from the allocation's own fields."""
+    inner = [r.marginal_at_solution[g] for g, inside in r.interior.items() if inside]
+    spread = 0.0
+    if len(inner) >= 2:
+        lo, hi = min(inner), max(inner)
+        spread = (hi - lo) / max(abs(hi), abs(lo))
+    lam = 0.0 if r.lam is None else r.lam
+    zero_ok = all(
+        r.marginal_at_solution[g] <= lam + 1e-4 for g, s in r.spends.items() if s == 0.0 and g not in r.dropped
+    )
+    return {"interior_count": len(inner), "marginal_spread_rel": spread, "zero_spend_ok": zero_ok}
+
+
+class TestKktCertificate:
+    @given(
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=1, max_value=4),
+        st.booleans(),
+        st.sampled_from([ADDITIVE, LITERAL]),
+        st.floats(min_value=0.01, max_value=0.7),
+    )
+    def test_matches_its_definition(self, seed, n, with_edges, mode, share):
+        p = random_portfolio(make_rng(seed), n, with_edges=with_edges)
+        r = allocate(p, budget=share * sum(oracle_f(x, 0.0) for x in p.gdfs), mode=mode)
+        assert set(r.interior) == set(p.ids()) - r.dropped
+        assert list(r.kkt) == ["interior_count", "marginal_spread_rel", "zero_spend_ok"]
+        assert type(r.kkt["interior_count"]) is int
+        assert r.kkt == kkt_by_definition(r)
+
+    def test_literal_mode_flags_no_interior_gdf_where_the_budget_binds(self):
+        # the additive split of this budget has three interior GDFs; the
+        # literal grid spends all of it, but has no lam to compare against
+        p = random_portfolio(make_rng(79), 3)
+        budget = 0.02 * sum(oracle_f(x, 0.0) for x in p.gdfs)
+        assert allocate(p, budget=budget).kkt["interior_count"] == 3
+        r = allocate(p, budget=budget, mode=LITERAL)
+        assert not r.dropped and all(s > 0.0 for s in r.spends.values())
+        assert r.budget_used == pytest.approx(budget, rel=1e-12)
+        assert r.kkt["interior_count"] == 0 and r.kkt["marginal_spread_rel"] == 0.0
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, LITERAL])
+    def test_empty_portfolio_is_vacuously_tight(self, mode):
+        r = allocate(Portfolio(), budget=100.0, mode=mode)
+        assert tuple(r.kkt.values()) == (0, 0.0, True)
+
+
 def extreme_breach_documents():
     """Every number of every breach in the bundled scenarios set, one at a
     time, to a value whose slope at 0 or along the spend can overflow."""

@@ -922,3 +922,13 @@ def test_optimal_spend_finds_the_higher_peak_of_a_two_peaked_curve():
         lambda s: oracle_coupled_enb(p, b, {"a": 0.0, "b": s}), 0.0, expected_cyber_cost(b, 0.0, ctx), 20_001
     )
     assert optimal_spend(b, ctx).value >= best - 1e-9 * abs(best)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+@pytest.mark.parametrize("seed, share", [(3, 0.02), (4, 0.05)])
+def test_kkt_certificate_is_tight_where_a_table_gdf_is_funded(seed, share):
+    # today: marginal_spread_rel 0.405 at seed 3 and 0.327 at seed 4, with
+    # gdf-0, whose first attack is a Table, the outlying interior marginal
+    p = random_portfolio(make_rng(seed), 3, with_edges=True, n_attacks=2)
+    budget = share * sum(oracle_f(x, 0.0) for x in p.gdfs)
+    assert allocate(p, budget=budget).kkt["marginal_spread_rel"] <= 1e-4
