@@ -100,7 +100,8 @@ class EvalContext:
         for gid in graph.order:
             up = graph.parents.get(gid, ())
             if gid in graph.gdfs and all(edge.source in q for edge in up):
-                _, q[gid] = _fold_gdf(graph.gdfs[gid], self.spends.get(gid, 0.0), up, q, ADDITIVE)
+                terms = _terms(graph.gdfs[gid].attacks, up)
+                _, q[gid] = _fold_gdf(terms, self.spends.get(gid, 0.0), q, ADDITIVE)
         return q
 
 
@@ -120,20 +121,45 @@ def _require_spend(s: float) -> float:
 # ---------------------------------------------------------------------------
 # The dependency fold.  Every evaluation path (single GDF through a context,
 # or a whole portfolio through CoupledTotal) goes through these functions,
-# so both produce bit-identical numbers.
+# so both produce bit-identical numbers.  A GDF's attacks become fold terms
+# once per CoupledTotal, per curve and per GDF of a context's walk; probes
+# then only fold them.
 # ---------------------------------------------------------------------------
 
 
-def _attack_prob(attack, s: float, parents, q: Mapping[str, float] | None) -> float:
-    """Effective success probability of ``attack`` at spend ``s``, given the
-    compromise probabilities ``q`` of the sources of ``parents``.
+def _terms(attacks, parents) -> tuple:
+    """One fold term ``(baseline_prob, loss, multiplier, ups)`` per attack.
+
+    ``ups`` holds the ``(source, uplift)`` pairs of the ``parents`` edges
+    whose uplift for the attack is not 1, in edge order: a parent with
+    uplift 1 leaves every product of the fold as it is.
+    """
+    if not parents:
+        return tuple([(a.baseline_prob, a.loss, a.breach.multiplier, ()) for a in attacks])
+    return tuple([
+        (
+            a.baseline_prob,
+            a.loss,
+            a.breach.multiplier,
+            tuple([(e.source, u) for e in parents if (u := e.uplift.get(a.id, 1.0)) != 1.0]),
+        )
+        for a in attacks
+    ])
+
+
+def _attack_prob(term, s: float, q: Mapping[str, float] | None) -> float:
+    """Effective success probability of ``term``'s attack at spend ``s``,
+    given the compromise probabilities ``q`` of the sources of its ``ups``.
 
     Parents compromise independently, so the result is the expectation of
     ``min(1, base * prod)`` over the products ``prod`` of the uplifts of
-    every compromised subset of parents.  The fold builds that distribution
-    one parent at a time but keeps only what can still change the result:
-    a parent whose uplift for this attack is 1 leaves every product as it
-    is and is skipped, and an entry whose uplifted probability reaches the
+    every compromised subset of parents.  An attack without an uplifting
+    parent is its clamped base.  One with a single uplifting parent takes
+    the closed form ``(1 - q)·base + q·base·u`` below the clamp and
+    ``q + (1 - q)·base`` at or above it: the operations, in order, that the
+    fold below does for one parent.  With two or more, the fold builds
+    that distribution one parent at a time but keeps only what can still
+    change the result: an entry whose uplifted probability reaches the
     clamp at 1 stays there under every later parent (uplifts are >= 1), so
     its weight is banked in ``saturated`` and the entry dropped.  The cost
     is the number of products that stay below the clamp: 2^k for k
@@ -142,19 +168,22 @@ def _attack_prob(attack, s: float, parents, q: Mapping[str, float] | None) -> fl
     exhaustive enumeration over parent compromise states.
     """
     # min(1.0, ...) inlined here: this is the allocator's innermost loop
-    base = attack.baseline_prob * attack.breach.multiplier(s, attack.baseline_prob)
+    b, _, multiplier, ups = term
+    base = b * multiplier(s, b)
     if not base < 1.0:
         base = 1.0
-    if not parents:
+    if not ups:
         return base
-    aid = attack.id
+    if len(ups) == 1:
+        ((source, uplift),) = ups
+        qp = q[source]
+        if (up := base * uplift) < 1.0:
+            return (1.0 - qp) * base + qp * up
+        return qp + (1.0 - qp) * base
     dist = [(1.0, base)]  # (weight, base * uplift product) of the unclamped subsets
     saturated = 0.0
-    for edge in parents:
-        uplift = edge.uplift.get(aid, 1.0)
-        if uplift == 1.0:
-            continue
-        qp = q[edge.source]
+    for source, uplift in ups:
+        qp = q[source]
         untouched = 1.0 - qp
         kept = []
         for prob, up in dist:
@@ -167,15 +196,15 @@ def _attack_prob(attack, s: float, parents, q: Mapping[str, float] | None) -> fl
     return saturated + sum([prob * up for prob, up in dist])
 
 
-def _fold_gdf(x: Gdf, s: float, parents, q, mode: str) -> tuple[float, float]:
-    """Expected cyber cost ``f(s)`` of ``x`` and the probability that at
-    least one of its attacks succeeds."""
+def _fold_gdf(terms, s: float, q, mode: str) -> tuple[float, float]:
+    """Expected cyber cost ``f(s)`` of the GDF whose attacks are ``terms``
+    and the probability that at least one of its attacks succeeds."""
     loss = 0.0
     prob_total = 0.0
     miss = 1.0
-    for attack in x.attacks:
-        p = _attack_prob(attack, s, parents, q)
-        loss += p * attack.loss
+    for term in terms:
+        p = _attack_prob(term, s, q)
+        loss += p * term[1]
         prob_total += p
         miss *= 1.0 - p
     if mode == LITERAL:
@@ -208,12 +237,13 @@ def _upstream(x: Gdf, context: EvalContext | None) -> tuple[tuple, dict | None]:
 def _net_curve(x: Gdf, context: EvalContext | None) -> Callable[[float], float]:
     """``s -> enb(x, s, context)`` for spends already known to be finite and
     >= 0.  The spend-independent part and the upstream lookup are done once
-    here, so a scan over many spends pays only the fold per point; raises
-    what :func:`_upstream` raises."""
+    here, as are the fold terms, so a scan over many spends pays only the
+    fold per point; raises what :func:`_upstream` raises."""
     fixed = _fixed_net(x)
     parents, q = _upstream(x, context)
+    terms = _terms(x.attacks, parents)
     mode = getattr(context, "mode", ADDITIVE)
-    return lambda s: fixed - _fold_gdf(x, s, parents, q, mode)[0]
+    return lambda s: fixed - _fold_gdf(terms, s, q, mode)[0]
 
 
 def effective_prob(x: Gdf, attack_id: str, s: float, context: EvalContext | None = None) -> float:
@@ -225,7 +255,7 @@ def effective_prob(x: Gdf, attack_id: str, s: float, context: EvalContext | None
     """
     _require_spend(s)
     parents, q = _upstream(x, context)
-    return _attack_prob(x.attack(attack_id), s, parents, q)
+    return _attack_prob(_terms((x.attack(attack_id),), parents)[0], s, q)
 
 
 def expected_cyber_cost(x: Gdf, s: float, context: EvalContext | None = None) -> float:
@@ -237,7 +267,7 @@ def expected_cyber_cost(x: Gdf, s: float, context: EvalContext | None = None) ->
     """
     s = _require_spend(s)
     parents, q = _upstream(x, context)
-    return _fold_gdf(x, s, parents, q, getattr(context, "mode", ADDITIVE))[0]
+    return _fold_gdf(_terms(x.attacks, parents), s, q, getattr(context, "mode", ADDITIVE))[0]
 
 
 def enb(x: Gdf, s: float, context: EvalContext | None = None) -> float:
@@ -255,11 +285,11 @@ class CoupledTotal:
     """Summed net benefit of every GDF of ``p`` as a function of all spends.
 
     Equal, bit for bit, to building ``EvalContext(p, spends, mode)`` and
-    summing ``enb`` over ``p.gdfs``, but without a context per call: one
-    pass over the topological order computes each GDF's attack
-    probabilities once and reuses them for both its own net benefit and its
-    children's fold.  :meth:`values` returns the per-GDF net benefits that
-    the sum is made of.  The optimizer probes the sum along lines that move
+    summing ``enb`` over ``p.gdfs``, but without a context per call: each
+    GDF's fold terms are built once, here, and one pass over the
+    topological order computes each GDF's attack probabilities once and
+    reuses them for both its own net benefit and its children's fold.
+    :meth:`values` returns the per-GDF net benefits that the sum is made of.  The optimizer probes the sum along lines that move
     one or two spends, each tens of times; :meth:`line` walks once and then
     refolds, per probe, only the moved GDFs and their descendants.
     """
@@ -271,11 +301,12 @@ class CoupledTotal:
             raise CycleDetectedError(
                 f"dependency cycle through {sorted(graph.cyclic)[0]!r}"
             )
-        self._steps = tuple(
-            (gid, graph.gdfs[gid], graph.parents.get(gid, ()), _fixed_net(graph.gdfs[gid]))
-            for gid in graph.order
-            if gid in graph.gdfs
-        )
+        steps = []
+        for gid in graph.order:
+            if gid in graph.gdfs:
+                x, parents = graph.gdfs[gid], graph.parents.get(gid, ())
+                steps.append((gid, _terms(x.attacks, parents), parents, _fixed_net(x)))
+        self._steps = tuple(steps)
         self._ids = tuple(x.id for x in p.gdfs)
         self._mode = mode
 
@@ -290,16 +321,17 @@ class CoupledTotal:
 
     def _walk(self, spends: Mapping[str, float], q: dict[str, float]) -> dict[str, float]:
         values: dict[str, float] = {}
-        for gid, x, parents, fixed in self._steps:
-            values[gid] = self._fold(gid, x, spends[gid], parents, fixed, q)
+        for gid, terms, _, fixed in self._steps:
+            values[gid] = self._fold(gid, terms, spends[gid], fixed, q)
         return values
 
-    def _fold(self, gid: str, x: Gdf, s: float, parents, fixed: float, q: dict[str, float]) -> float:
-        """Net benefit of ``x`` at spend ``s``; records its compromise
-        probability in ``q``, which holds its parents'."""
+    def _fold(self, gid: str, terms, s: float, fixed: float, q: dict[str, float]) -> float:
+        """Net benefit of GDF ``gid``, whose fold terms are ``terms``, at
+        spend ``s``; records its compromise probability in ``q``, which holds
+        its parents'."""
         if not 0.0 <= s < math.inf:
             raise ValueError(f"spend for {gid!r} must be finite and >= 0, got {s!r}")
-        cost, q[gid] = _fold_gdf(x, s, parents, q, self._mode)
+        cost, q[gid] = _fold_gdf(terms, s, q, self._mode)
         return fixed - cost
 
     def line(self, spends: Mapping[str, float], moved: tuple[str, ...]) -> Callable[..., float]:
@@ -316,16 +348,16 @@ class CoupledTotal:
         arg = {gid: k for k, gid in enumerate(moved)}
         touched: set[str] = set()
         steps = []
-        for gid, x, parents, fixed in self._steps:
+        for gid, terms, parents, fixed in self._steps:
             if gid in arg or any(edge.source in touched for edge in parents):
                 touched.add(gid)
-                steps.append((gid, x, parents, fixed, arg.get(gid), spends[gid], slot[gid]))
+                steps.append((gid, terms, fixed, arg.get(gid), spends[gid], slot[gid]))
         vals = [base[gid] for gid in self._ids]
         fold = self._fold
 
         def probe(*s: float) -> float:
-            for gid, x, parents, fixed, k, own, i in steps:
-                vals[i] = fold(gid, x, own if k is None else s[k], parents, fixed, q)
+            for gid, terms, fixed, k, own, i in steps:
+                vals[i] = fold(gid, terms, own if k is None else s[k], fixed, q)
             return sum(vals)
 
         return probe

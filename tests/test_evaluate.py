@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pathlib
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from enbcds import (
     Gdf,
     GordonLoebI,
     Portfolio,
+    Table,
     UnknownGdfError,
     bundled_scenario,
     effective_prob,
@@ -29,6 +31,7 @@ from enbcds import (
     optimal_spend,
 )
 
+from enbcds import evaluate
 from enbcds.evaluate import CoupledTotal
 
 from oracles import (
@@ -338,6 +341,95 @@ class TestWideFanIn:
         )
         got = effective_prob(sink, "t", 0.0, EvalContext(portfolio=p, spends=spends))
         assert abs(got - want) <= 1e-12
+
+
+_HALVING = Table(knots=((0.0, 1.0), (1.0, 0.5), (2.0, 0.25), (3.0, 0.125)))
+
+
+class TestFoldAtTheClamp:
+    """Every branch of the fold, with uplift products that land exactly on
+    the clamp at 1, one ulp below it and one ulp above it.
+
+    The sink's attack ``t`` has a ``_HALVING`` breach, so at the knot spend
+    ``j`` its multiplier is exactly ``2**-j``; uplifts are powers of two, so
+    every product is exact.  The baseline is ``2**(i - E)`` moved by at most
+    one ulp, with ``E`` the exponent sum of a chosen subset of uplifting
+    parents.  At spend ``i`` that subset's product lands on, just below or
+    just above 1; other spends move every product by powers of two.
+    """
+
+    @staticmethod
+    def _portfolio(data, k):
+        ones = data.draw(st.integers(0, 2), label="parents with uplift 1")
+        exps = data.draw(st.lists(st.integers(1, 3), min_size=k, max_size=k), label="uplift exponents")
+        subset = data.draw(st.sets(st.sampled_from(range(k)), min_size=1) if k else st.just(set()))
+        e = sum(exps[m] for m in subset)
+        i = data.draw(st.integers(0, max(e - 1, 0)), label="knot that puts the subset on the clamp")
+        j = data.draw(st.just(i) | st.integers(0, 3), label="knot of the sink's spend")
+        ulp = data.draw(st.sampled_from((-1, 0, 1) if k else (-1, 0)), label="ulps off the clamp")
+        b = math.ldexp(1.0, i - e)
+        b = {-1: math.nextafter(b, 0.0), 0: b, 1: math.nextafter(b, 1.0)}[ulp]
+        q_base = st.sampled_from((0.0, 1.0)) | st.floats(1e-6, 1.0 - 1e-6)
+        parents = tuple(
+            Gdf(id=f"p{m}", ben=1e4, attacks=(_exp_attack(f"a{m}", data.draw(q_base, label=f"p{m} baseline")),))
+            for m in range(k + ones)
+        )
+        sink = Gdf(id="sink", ben=1e6, dir_costs=3e3, attacks=(
+            AttackType(id="t", baseline_prob=b, loss=2e4, breach=_HALVING), _exp_attack("off", 0.4),
+        ))
+        uplifts = [{"t": 2.0 ** x} for x in exps] + [{"t": 1.0}] * ones
+        edges = data.draw(st.permutations([
+            DependencyEdge(source=x.id, target="sink", uplift=u) for x, u in zip(parents, uplifts)
+        ]))
+        p = Portfolio(gdfs=(*parents, sink), edges=tuple(edges))
+        return p, sink, {**dict.fromkeys(p.ids(), 0.0), "sink": float(j)}
+
+    @pytest.mark.parametrize("k", range(4))  # uplifting parents
+    @given(data=st.data())
+    def test_every_path_agrees_bit_for_bit_and_with_enumeration(self, k, data):
+        p, sink, spends = self._portfolio(data, k)
+        s = spends["sink"]
+        ctx = EvalContext(p, spends)
+        probs = [effective_prob(sink, a.id, s, ctx) for a in sink.attacks]
+        for got, attack in zip(probs, sink.attacks):
+            want = oracle_attack_prob(p, "sink", attack, spends)
+            assert abs(got - want) <= 1e-14 * want
+        loss = 0.0
+        for prob, attack in zip(probs, sink.attacks):
+            loss += prob * attack.loss
+        value = enb(sink, s, ctx)
+        assert value == sink.ben - sink.dir_costs - (s + loss)
+        assert abs(value - oracle_coupled_enb(p, sink, spends)) <= 1e-14 * abs(value)
+        total = CoupledTotal(p)
+        want = {x.id: enb(x, spends[x.id], ctx) for x in p.gdfs}
+        assert total.values(spends) == want
+        moved = tuple(dict.fromkeys((p.gdfs[0].id, "sink")))  # a parent, if any, and the sink
+        probe = total.line({**spends, **dict.fromkeys(moved, 2.5)}, moved)
+        assert probe(*(spends[g] for g in moved)) == total(spends) == sum(want[x.id] for x in p.gdfs)
+
+
+class TestFoldTermsAreBuiltOnce:
+    def test_line_probes_build_no_terms(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        p = workloads.build_pool("alloc-coupled", 1).scenarios["cpl-diamond-n4-5"].portfolio
+        assert len(p.edges) == 4
+        built = []
+        terms = evaluate._terms
+
+        def counted(attacks, parents):
+            built.append(attacks)
+            return terms(attacks, parents)
+
+        monkeypatch.setattr(evaluate, "_terms", counted)
+        total = CoupledTotal(p)
+        assert sorted(map(id, built)) == sorted(id(x.attacks) for x in p.gdfs)
+        spends = {x.id: 0.1 * oracle_f(x, 0.0) for x in p.gdfs}
+        line = total.line(spends, (p.gdfs[0].id, p.gdfs[2].id))
+        for j in range(50):
+            line(spends[p.gdfs[0].id] * (1.0 + j / 50), spends[p.gdfs[2].id] * (1.0 - j / 100))
+        assert len(built) == len(p.gdfs)
 
 
 class TestEvalContext:
