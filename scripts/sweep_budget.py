@@ -19,6 +19,8 @@ import pathlib
 import sys
 
 from enbcds import (
+    EvaluationError,
+    OptimizationError,
     allocate,
     bundled_scenario_names,
     bundled_scenario_text,
@@ -40,14 +42,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.max is not None and not (math.isfinite(args.max) and args.max >= 0.0):
         parser.error(f"--max must be finite and >= 0, got {args.max!r}")
 
+    try:
+        return _sweep(args)
+    except (ValueError, OSError, EvaluationError, OptimizationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # a scenario error names its JSON path
+        return 1
+
+
+def _sweep(args: argparse.Namespace) -> int:
     if args.scenario in bundled_scenario_names():
         text = bundled_scenario_text(args.scenario)
     else:
-        text = pathlib.Path(args.scenario).read_text()
+        text = pathlib.Path(args.scenario).read_text(encoding="utf-8")
     p = parse_scenario(text).portfolio
     if not p.gdfs:
-        print("error: scenario has no GDFs", file=sys.stderr)
-        return 1
+        raise ValueError("scenario has no GDFs")
 
     top = args.max if args.max is not None else sum(optimal_spend(x).s_star for x in p.gdfs)
     ids = sorted(p.ids())
@@ -61,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
         lines.append(",".join(row))
     out = "\n".join(lines) + "\n"
     if args.output:
-        pathlib.Path(args.output).write_text(out)
+        pathlib.Path(args.output).write_text(out, encoding="utf-8")
         print(f"wrote {args.steps + 1} rows to {args.output}")
     else:
         sys.stdout.write(out)

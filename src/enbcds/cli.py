@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: validate, evaluate, curve, optimize, allocate, sample, report.
+:func:`main` is the one pipeline: it loads the scenario once, runs
+``_cmd_<name>(args, sf)``, which returns the ``--json`` payload and a
+zero-argument renderer of the text output, and writes one of the two.
 Exit codes: 0 success, 1 domain error (bad scenario, unknown GDF, ...),
-2 usage error (argparse).  ``--json`` mirrors every human-readable output
-as machine-parseable JSON.  File outputs are written atomically (temp file
+2 usage error (argparse).  File outputs are written atomically (temp file
 plus rename), so failures never leave partial files behind.
 """
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .evaluate import (
     EvalContext,
     EvaluationError,
     UnknownGdfError,
+    _actual_spends,
     enb,
     enbcds_curve,
 )
@@ -31,12 +34,6 @@ from .sensitivity import SensitivityError, sample
 __all__ = ["main"]
 
 
-def _load(args):
-    with open(args.scenario, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_scenario(text, lenient=args.lenient)
-
-
 def _gdf(p: Portfolio, gdf_id: str):
     try:
         return p.gdf(gdf_id)
@@ -46,8 +43,10 @@ def _gdf(p: Portfolio, gdf_id: str):
         ) from None
 
 
-def _actual_spends(p: Portfolio) -> dict[str, float]:
-    return {g.id: g.actual_spend if g.actual_spend is not None else 0.0 for g in p.gdfs}
+def _context(args, sf) -> EvalContext:
+    """The context of evaluate, curve, optimize and report: each GDF at its
+    recorded actual spend, else 0, in ``--mode``."""
+    return EvalContext(sf.portfolio, _actual_spends(sf.portfolio), args.mode)
 
 
 def _write(data: bytes | str, path: str | None) -> None:
@@ -76,91 +75,64 @@ def _write(data: bytes | str, path: str | None) -> None:
         raise
 
 
-def _emit_json(obj, path: str | None) -> None:
-    # NaN and Infinity are not JSON: such a result fails (ValueError) before anything is written
-    _write(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
+def _cmd_validate(args, sf):
+    return {"ok": True}, lambda: "OK\n"
 
 
-def _cmd_validate(args) -> int:
-    _load(args)
-    if args.json:
-        _emit_json({"ok": True}, args.output)
-    else:
-        _write("OK\n", args.output)
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    sf = _load(args)
+def _cmd_evaluate(args, sf):
     g = _gdf(sf.portfolio, args.gdf)
-    spends = _actual_spends(sf.portfolio)
-    spend = args.spend if args.spend is not None else spends[g.id]
-    ctx = EvalContext(sf.portfolio, spends, args.mode)
+    ctx = _context(args, sf)
+    spend = args.spend if args.spend is not None else ctx.spends[g.id]
     value = enb(g, spend, ctx)
-    if args.json:
-        _emit_json({"gdf": g.id, "spend": spend, "enbcds": value}, args.output)
-    else:
-        _write(f"gdf {g.id}: enbcds({spend}) = {value}\n", args.output)
-    return 0
+    payload = {"gdf": g.id, "spend": spend, "enbcds": value}
+    return payload, lambda: f"gdf {g.id}: enbcds({spend}) = {value}\n"
 
 
-def _cmd_curve(args) -> int:
-    sf = _load(args)
+def _cmd_curve(args, sf):
     g = _gdf(sf.portfolio, args.gdf)
-    ctx = EvalContext(sf.portfolio, _actual_spends(sf.portfolio), args.mode)
-    curve = enbcds_curve(g, s_max=args.s_max, n_samples=args.samples, context=ctx)
-    if args.json:
-        _emit_json(curve_to_dict(curve), args.output)
-    else:
-        _write(emit_curve(curve, args.format, actual_spend=g.actual_spend), args.output)
-    return 0
+    curve = enbcds_curve(g, s_max=args.s_max, n_samples=args.samples, context=_context(args, sf))
+    return curve_to_dict(curve), lambda: emit_curve(curve, args.format, actual_spend=g.actual_spend)
 
 
-def _cmd_optimize(args) -> int:
-    sf = _load(args)
+def _cmd_optimize(args, sf):
     g = _gdf(sf.portfolio, args.gdf)
-    ctx = EvalContext(sf.portfolio, _actual_spends(sf.portfolio), args.mode)
-    best = optimal_spend(g, context=ctx)
-    if args.json:
-        _emit_json({"gdf": g.id, **best._asdict()}, args.output)
-    else:
-        _write(f"gdf {g.id}: s_star = {best.s_star}\nvalue at s_star = {best.value}\n", args.output)
-    return 0
+    best = optimal_spend(g, context=_context(args, sf))
+    return {"gdf": g.id, **best._asdict()}, (
+        lambda: f"gdf {g.id}: s_star = {best.s_star}\nvalue at s_star = {best.value}\n"
+    )
 
 
-def _cmd_allocate(args) -> int:
-    sf = _load(args)
+def _cmd_allocate(args, sf):
     result = allocate(sf.portfolio, budget=args.budget, mode=args.mode)
     kkt = result.kkt
-    if args.json:
-        _emit_json({**allocation_to_dict(result), "kkt": kkt}, args.output)
-        return 0
-    lines = [f"{'gdf':<28} {'spend':>16} {'marginal':>14} {'interior':>9}  status"]
-    for gid in sf.portfolio.ids():
-        spend = result.spends[gid]
-        marginal = result.marginal_at_solution.get(gid)
-        interior = result.interior.get(gid, False)
-        status = "dropped" if gid in result.dropped else "retained"
+
+    def render() -> str:
+        lines = [f"{'gdf':<28} {'spend':>16} {'marginal':>14} {'interior':>9}  status"]
+        for gid in sf.portfolio.ids():
+            spend = result.spends[gid]
+            marginal = result.marginal_at_solution.get(gid)
+            interior = result.interior.get(gid, False)
+            status = "dropped" if gid in result.dropped else "retained"
+            lines.append(
+                f"{gid:<28} {spend:>16,.2f} "
+                f"{(f'{marginal:.6g}' if marginal is not None else '-'):>14} "
+                f"{('yes' if interior else 'no'):>9}  {status}"
+            )
+        lines.append(f"objective = {result.objective}")
+        lines.append(f"budget_used = {result.budget_used}")
+        lines.append(f"lam = {result.lam}")
+        lines.append(f"iterations = {result.iterations}")
         lines.append(
-            f"{gid:<28} {spend:>16,.2f} "
-            f"{(f'{marginal:.6g}' if marginal is not None else '-'):>14} "
-            f"{('yes' if interior else 'no'):>9}  {status}"
+            "kkt: interior marginals "
+            f"{kkt['interior_count']}, relative spread {kkt['marginal_spread_rel']:.3g}, "
+            f"zero-spend marginals within lam+1e-4: {'yes' if kkt['zero_spend_ok'] else 'no'}"
         )
-    lines.append(f"objective = {result.objective}")
-    lines.append(f"budget_used = {result.budget_used}")
-    lines.append(f"lam = {result.lam}")
-    lines.append(f"iterations = {result.iterations}")
-    lines.append(
-        "kkt: interior marginals "
-        f"{kkt['interior_count']}, relative spread {kkt['marginal_spread_rel']:.3g}, "
-        f"zero-spend marginals within lam+1e-4: {'yes' if kkt['zero_spend_ok'] else 'no'}"
-    )
-    _write("\n".join(lines) + "\n", args.output)
-    return 0
+        return "\n".join(lines) + "\n"
+
+    return {**allocation_to_dict(result), "kkt": kkt}, render
 
 
-def _cmd_sample(args) -> int:
-    sf = _load(args)
+def _cmd_sample(args, sf):
     report = sample(
         sf.portfolio,
         sf.uncertainty,
@@ -169,10 +141,6 @@ def _cmd_sample(args) -> int:
         budget=args.budget,
         threads=args.threads,
     )
-    if args.json:
-        _emit_json(asdict(report), args.output)
-        return 0
-    lines = [f"draws = {report.draws}, seed = {report.seed}"]
 
     def stat_line(label, st, extra=""):
         return (
@@ -180,40 +148,41 @@ def _cmd_sample(args) -> int:
             f"p5={st.p5:.6g} p50={st.p50:.6g} p95={st.p95:.6g}{extra}"
         )
 
-    if report.param_stats:
-        lines.append("sampled parameters (after clamping):")
-        for target, st in report.param_stats.items():
-            clamps = report.clamp_events.get(target, 0)
-            lines.append("  " + stat_line(target, st, f" clamps={clamps}"))
-    if report.enbcds_at_spend:
-        lines.append("net benefit at given spends:")
-        for gid, st in report.enbcds_at_spend.items():
-            lines.append("  " + stat_line(gid, st))
-    if report.s_star:
-        lines.append("optimal spend per gdf:")
-        for gid, st in report.s_star.items():
-            lines.append("  " + stat_line(gid, st))
-    if report.allocation_objective is not None:
-        lines.append(stat_line("allocation objective", report.allocation_objective))
-    if report.drop_frequency:
-        lines.append("drop frequency:")
-        for gid, freq in report.drop_frequency.items():
-            lines.append(f"  {gid:<44} {freq:.4f}")
-    _write("\n".join(lines) + "\n", args.output)
-    return 0
+    def render() -> str:
+        lines = [f"draws = {report.draws}, seed = {report.seed}"]
+        if report.param_stats:
+            lines.append("sampled parameters (after clamping):")
+            for target, st in report.param_stats.items():
+                clamps = report.clamp_events.get(target, 0)
+                lines.append("  " + stat_line(target, st, f" clamps={clamps}"))
+        if report.enbcds_at_spend:
+            lines.append("net benefit at given spends:")
+            for gid, st in report.enbcds_at_spend.items():
+                lines.append("  " + stat_line(gid, st))
+        if report.s_star:
+            lines.append("optimal spend per gdf:")
+            for gid, st in report.s_star.items():
+                lines.append("  " + stat_line(gid, st))
+        if report.allocation_objective is not None:
+            lines.append(stat_line("allocation objective", report.allocation_objective))
+        if report.drop_frequency:
+            lines.append("drop frequency:")
+            for gid, freq in report.drop_frequency.items():
+                lines.append(f"  {gid:<44} {freq:.4f}")
+        return "\n".join(lines) + "\n"
+
+    return asdict(report), render
 
 
-def _cmd_report(args) -> int:
-    sf = _load(args)
+def _cmd_report(args, sf):
     p = sf.portfolio
     if args.plots is not None:
         for g in p.gdfs:
             if os.path.basename(f"{g.id}.svg") != f"{g.id}.svg":
                 raise ValueError(f"gdf {g.id!r}: --plots needs gdf ids that are plain file names")
-    spends = _actual_spends(p)
-    ctx = EvalContext(p, spends, args.mode)
+    ctx = _context(args, sf)
     optimal = {g.id: optimal_spend(g, context=ctx) for g in p.gdfs}
-    values_at_actual = {g.id: enb(g, spends[g.id], ctx) for g in p.gdfs}
+    values_at_actual = {g.id: enb(g, ctx.spends[g.id], ctx) for g in p.gdfs}
     result = allocate(p, budget=args.budget, mode=args.mode)
     if args.plots is not None:
         os.makedirs(args.plots, exist_ok=True)
@@ -223,22 +192,18 @@ def _cmd_report(args) -> int:
                 emit_curve(curve, "svg", actual_spend=g.actual_spend),
                 os.path.join(args.plots, f"{g.id}.svg"),
             )
-    if args.json:
-        payload = {
-            "gdfs": {
-                g.id: {
-                    "actual_spend": g.actual_spend,
-                    "value_at_actual": values_at_actual[g.id],
-                    **optimal[g.id]._asdict(),
-                }
-                for g in p.gdfs
-            },
-            "allocation": allocation_to_dict(result),
-        }
-        _emit_json(payload, args.output)
-    else:
-        _write(emit_report(p, optimal, result, values_at_actual), args.output)
-    return 0
+    payload = {
+        "gdfs": {
+            g.id: {
+                "actual_spend": g.actual_spend,
+                "value_at_actual": values_at_actual[g.id],
+                **optimal[g.id]._asdict(),
+            }
+            for g in p.gdfs
+        },
+        "allocation": allocation_to_dict(result),
+    }
+    return payload, lambda: emit_report(p, optimal, result, values_at_actual)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -310,13 +275,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with open(args.scenario, encoding="utf-8") as fh:
+            sf = parse_scenario(fh.read(), lenient=args.lenient)
+        payload, render = args.func(args, sf)
+        if args.json:
+            # NaN and Infinity are not JSON: such a result fails (ValueError) before anything is written
+            _write(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
+        else:
+            _write(render(), args.output)
     except (ValueError, OSError, EvaluationError, OptimizationError, SensitivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

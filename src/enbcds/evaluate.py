@@ -105,6 +105,14 @@ class EvalContext:
         return q
 
 
+def _actual_spends(p: Portfolio, spends: Mapping[str, float] | None = None) -> dict[str, float]:
+    """Each GDF's spend in ``spends``, else its recorded ``actual_spend``,
+    else 0, in portfolio order.  A key of ``spends`` that names no GDF is
+    kept, so that ``EvalContext`` rejects it."""
+    actual = {g.id: g.actual_spend if g.actual_spend is not None else 0.0 for g in p.gdfs}
+    return {**actual, **spends} if spends else actual
+
+
 def check_mode(mode: str) -> None:
     """Raise ValueError unless ``mode`` is ``ADDITIVE`` or ``LITERAL``."""
     if mode not in (ADDITIVE, LITERAL):
@@ -289,9 +297,10 @@ class CoupledTotal:
     GDF's fold terms are built once, here, and one pass over the
     topological order computes each GDF's attack probabilities once and
     reuses them for both its own net benefit and its children's fold.
-    :meth:`values` returns the per-GDF net benefits that the sum is made of.  The optimizer probes the sum along lines that move
-    one or two spends, each tens of times; :meth:`line` walks once and then
-    refolds, per probe, only the moved GDFs and their descendants.
+    :meth:`values` returns the per-GDF net benefits that the sum is made
+    of.  The optimizer probes the sum along lines that move one or two
+    spends, each tens of times; :meth:`line` walks once and then refolds,
+    per probe, only the moved GDFs and their descendants.
     """
 
     def __init__(self, p: Portfolio, mode: str = ADDITIVE):

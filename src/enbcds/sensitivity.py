@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .evaluate import EvalContext, enb
+from .evaluate import EvalContext, _actual_spends, enb
 from .model import Portfolio
 from .optimize import allocate, optimal_spend
 
@@ -309,6 +309,9 @@ def sample(
     targets drawn into the broken part (``parse_scenario`` runs this check
     on a draw at every support's lower end).  ``threads`` is accepted for
     compatibility and changes nothing: draws always run in one thread.
+    ``spends`` overrides the actual spends GDF by GDF; an id that names no
+    GDF raises UnknownGdfError and a negative or non-finite spend
+    ValueError, whatever the ``quantities``.
     """
     import numpy as np
 
@@ -331,12 +334,7 @@ def sample(
         for param in params
     ]
 
-    if spends is None:
-        spends = {}
-    spends_used = {
-        g.id: float(spends.get(g.id, g.actual_spend if g.actual_spend is not None else 0.0))
-        for g in p.gdfs
-    }
+    spends_used = EvalContext(p, _actual_spends(p, spends)).spends
 
     def enbcds_row(ctx: EvalContext) -> list[float]:
         return [enb(ctx.portfolio.gdf(gid), spends_used[gid], ctx) for gid in gdf_ids]

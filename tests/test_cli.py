@@ -1,9 +1,11 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import ast
 import dataclasses
 import json
 import math
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -13,12 +15,14 @@ import pytest
 import enbcds
 from enbcds import (
     bundled_scenario,
+    bundled_scenario_names,
     bundled_scenario_text,
     enb,
     optimal_spend,
     parse_curve_csv,
     sample,
 )
+from enbcds import cli
 from enbcds.cli import main
 from enbcds.io import ScenarioFile, serialize_scenario
 
@@ -492,6 +496,91 @@ class TestReport:
         assert main(["--json", "report", comparison_file, "--budget", "200000"]) == 0
         payload = json.loads(capfd.readouterr().out)
         assert payload["allocation"]["budget_used"] <= 200000.0 * (1 + 1e-9)
+
+
+def _subcommand_argv(command: str, name: str, path: str) -> list[str]:
+    """Arguments that run ``command`` on bundled scenario ``name`` saved at ``path``."""
+    gdf = ["--gdf", bundled_scenario(name).portfolio.ids()[0]]
+    extra = {
+        "evaluate": gdf,
+        "curve": [*gdf, "--samples", "16"],
+        "optimize": gdf,
+        "sample": ["--draws", "3", "--seed", "0"],
+    }
+    return [command, path, *extra.get(command, [])]
+
+
+SUBCOMMANDS = ("validate", "evaluate", "curve", "optimize", "allocate", "sample", "report")
+
+
+class TestOneOutputPath:
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_output_file_holds_the_bytes_printed_to_stdout(self, tmp_path, capfdbinary, name, command, as_json):
+        path = tmp_path / f"{name}.json"
+        path.write_text(bundled_scenario_text(name), encoding="utf-8")
+        argv = (["--json"] if as_json else []) + _subcommand_argv(command, name, str(path))
+        assert main(argv) == 0
+        printed = capfdbinary.readouterr().out
+        assert printed.endswith(b"\n")
+        target = tmp_path / "out"
+        assert main(argv + ["-o", str(target)]) == 0
+        assert capfdbinary.readouterr() == (b"", b"")
+        assert target.read_bytes() == printed
+
+    @pytest.mark.parametrize("command", ["curve", "report"])
+    def test_json_output_renders_no_text(self, comparison_file, monkeypatch, capfd, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("text rendered for --json")
+
+        for name in ("emit_curve", "emit_report"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert main(["--json", *_subcommand_argv(command, "three-gdfs-comparison", comparison_file)]) == 0
+        json.loads(capfd.readouterr().out)
+
+
+def _cli_boundary() -> dict[str, str]:
+    """``CLI_BOUNDARY`` of the benchmark's tracer, read without importing it."""
+    tree = ast.parse((pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text("utf-8"))
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CLI_BOUNDARY"]
+    )
+
+
+class TestBenchmarkRebinding:
+    """The traced benchmark run rebinds these names on ``enbcds.cli`` to
+    wrappers that open a span per call, so each command must look them up
+    when it runs; a table that captured them at import would leave the
+    traced run without spans."""
+
+    USED_BY = {
+        "parse_scenario": ["validate", "evaluate", "report"],
+        "EvalContext": ["evaluate", "curve", "optimize", "report"],
+        "enb": ["evaluate", "report"],
+        "enbcds_curve": ["curve"],
+        "optimal_spend": ["optimize", "report"],
+        "allocate": ["allocate", "report"],
+        "sample": ["sample"],
+    }
+
+    def test_every_rebound_name_is_covered(self):
+        assert set(self.USED_BY) == set(_cli_boundary())
+
+    @pytest.mark.parametrize("name,command", [(n, c) for n, cs in USED_BY.items() for c in cs])
+    def test_the_command_calls_the_rebound_name(self, comparison_file, monkeypatch, capfd, name, command):
+        original, calls = getattr(cli, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        assert main(["--json", *_subcommand_argv(command, "three-gdfs-comparison", comparison_file)]) == 0
+        assert calls
+        json.loads(capfd.readouterr().out)
 
 
 class TestInstalledEntryPoint:

@@ -3,12 +3,15 @@
 import csv
 import hashlib
 import json
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
 
 import pytest
 
+import enbcds
 from enbcds import bundled_scenario, bundled_scenario_names, serialize_scenario
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
@@ -49,6 +52,50 @@ def test_sweep_budget_rejects_a_step_count_or_top_budget_out_of_range(argv, mess
     assert exit_.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+def test_sweep_budget_names_a_missing_file_in_one_error_line(tmp_path, capsys):
+    # a FileNotFoundError traceback before
+    assert _main("sweep_budget.py")([str(tmp_path / "nope.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "error: line 1 column 2: "),
+        (json.dumps({"schema_version": 1, "portfolio": {"budget": None, "gdfs": [{"id": "a", "ben": "x"}]}}),
+         "error: /portfolio/gdfs/0/ben: "),
+    ],
+)
+def test_sweep_budget_names_the_json_path_of_a_scenario_that_fails_to_parse(tmp_path, capsys, text, message):
+    # a SchemaError traceback before
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert _main("sweep_budget.py")([str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+def test_sweep_budget_reads_and_writes_utf8_whatever_the_locale(tmp_path):
+    # EncodingWarning, raised as an error, marks a file opened in the locale's encoding
+    doc = json.loads(serialize_scenario(bundled_scenario("three-gdfs-comparison")))
+    doc["portfolio"]["gdfs"][0]["id"] = "relais-protégé"
+    src, out = tmp_path / "utf8.json", tmp_path / "sweep.csv"
+    src.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    package = pathlib.Path(enbcds.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         str(SCRIPTS / "sweep_budget.py"), str(src), "--steps", "1", "-o", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(package), os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "spend_relais-protégé" in out.read_text(encoding="utf-8").splitlines()[0]
 
 
 def test_make_figures_renders_every_bundled_scenario(tmp_path):

@@ -23,6 +23,7 @@ from enbcds import (
     Triangular,
     UncertainParam,
     Uniform,
+    UnknownGdfError,
     UnresolvedTargetError,
     allocate,
     bundled_scenario,
@@ -31,7 +32,7 @@ from enbcds import (
     sample,
 )
 
-from enbcds.sensitivity import _draw_rng, _percentiles, _stats
+from enbcds.sensitivity import ALL_QUANTITIES, _draw_rng, _percentiles, _stats
 
 from oracles import (
     make_rng,
@@ -192,6 +193,29 @@ class TestSampleBasics:
         r = sample(p, [], draws=1, seed=1, spends={gid: 77.0}, quantities=("params",))
         assert r.spends_used[gid] == 77.0
         assert r.spends_used[p.gdfs[1].id] == p.gdfs[1].actual_spend
+
+    def test_spends_used_follow_the_portfolio_order_with_0_for_no_actual_spend(self):
+        p = small_portfolio(n=3)
+        p = dataclasses.replace(p, gdfs=(dataclasses.replace(p.gdfs[0], actual_spend=None), *p.gdfs[1:]))
+        last = p.gdfs[2].id
+        r = sample(p, [], draws=1, seed=1, spends={last: 5}, quantities=("params",))
+        assert list(r.spends_used) == p.ids()
+        assert r.spends_used == {p.gdfs[0].id: 0.0, p.gdfs[1].id: p.gdfs[1].actual_spend, last: 5.0}
+        assert type(r.spends_used[last]) is float
+
+    @pytest.mark.parametrize("quantities", [("params",), ("enbcds",), ("s_star",), ("allocation",), ALL_QUANTITIES])
+    def test_a_spend_naming_no_gdf_is_refused(self, quantities):
+        p = small_portfolio()
+        misspelled = p.gdfs[0].id[:-1]
+        with pytest.raises(UnknownGdfError, match=repr(misspelled)):
+            sample(p, [], draws=1, seed=1, spends={misspelled: 1e5}, quantities=quantities)
+
+    @pytest.mark.parametrize("quantities", [("params",), ("enbcds",), ("s_star",), ("allocation",), ALL_QUANTITIES])
+    @pytest.mark.parametrize("spend", [-5.0, math.nan, math.inf])
+    def test_a_negative_or_non_finite_spend_is_refused(self, quantities, spend):
+        p = small_portfolio()
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            sample(p, [], draws=1, seed=1, spends={p.gdfs[1].id: spend}, quantities=quantities)
 
     def test_params_only_skips_downstream_quantities(self):
         p = small_portfolio()
