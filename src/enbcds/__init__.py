@@ -9,7 +9,6 @@ Carlo.  See the README for the model and the CLI surface.
 from .evaluate import (
     ADDITIVE,
     LITERAL,
-    CycleDetectedError,
     DegenerateRangeError,
     EnbcdsCurve,
     EvalContext,

@@ -107,6 +107,7 @@ def _cmd_allocate(args, sf):
     kkt = result.kkt
 
     def render() -> str:
+        zero_ok = {True: "yes", False: "no", None: "n/a"}[kkt["zero_spend_ok"]]
         lines = [f"{'gdf':<28} {'spend':>16} {'marginal':>14} {'interior':>9}  status"]
         for gid in sf.portfolio.ids():
             spend = result.spends[gid]
@@ -125,7 +126,7 @@ def _cmd_allocate(args, sf):
         lines.append(
             "kkt: interior marginals "
             f"{kkt['interior_count']}, relative spread {kkt['marginal_spread_rel']:.3g}, "
-            f"zero-spend marginals within lam+1e-4: {'yes' if kkt['zero_spend_ok'] else 'no'}"
+            f"zero-spend marginals within lam+1e-4: {zero_ok}"
         )
         return "\n".join(lines) + "\n"
 
@@ -178,8 +179,9 @@ def _cmd_report(args, sf):
     p = sf.portfolio
     if args.plots is not None:
         for g in p.gdfs:
-            if os.path.basename(f"{g.id}.svg") != f"{g.id}.svg":
-                raise ValueError(f"gdf {g.id!r}: --plots needs gdf ids that are plain file names")
+            name = f"{g.id}.svg"
+            if os.path.basename(name) != name or "\0" in name or len(name.encode()) > 255:
+                raise ValueError(f"gdf {g.id!r}: --plots needs gdf ids that are plain file names of at most 251 bytes")
     ctx = _context(args, sf)
     optimal = {g.id: optimal_spend(g, context=ctx) for g in p.gdfs}
     values_at_actual = {g.id: enb(g, ctx.spends[g.id], ctx) for g in p.gdfs}

@@ -31,7 +31,6 @@ __all__ = [
     "LITERAL",
     "EvaluationError",
     "UnknownGdfError",
-    "CycleDetectedError",
     "DegenerateRangeError",
     "EvalContext",
     "EnbcdsCurve",
@@ -53,10 +52,6 @@ class UnknownGdfError(EvaluationError):
     pass
 
 
-class CycleDetectedError(EvaluationError):
-    pass
-
-
 class DegenerateRangeError(EvaluationError):
     pass
 
@@ -73,9 +68,9 @@ class EvalContext:
     in ``spends``, keyed by GDF id.  The first evaluation of a GDF with
     parents computes it in one pass over the portfolio's topological order,
     the order :class:`CoupledTotal` walks, so chains of any depth evaluate
-    without recursion; later evaluations only read it.  A GDF on or below a
-    dependency cycle, or below an edge source that names no GDF, is left
-    out.  A context built by ``dataclasses.replace`` makes its own pass.
+    without recursion; later evaluations only read it.  A built portfolio
+    is a DAG over its GDFs, so that order holds every GDF.  A context built
+    by ``dataclasses.replace`` makes its own pass.
     """
 
     portfolio: Portfolio | None = None
@@ -98,10 +93,8 @@ class EvalContext:
         graph = self.portfolio._graph
         q: dict[str, float] = {}
         for gid in graph.order:
-            up = graph.parents.get(gid, ())
-            if gid in graph.gdfs and all(edge.source in q for edge in up):
-                terms = _terms(graph.gdfs[gid].attacks, up)
-                _, q[gid] = _fold_gdf(terms, self.spends.get(gid, 0.0), q, ADDITIVE)
+            terms = _terms(graph.gdfs[gid].attacks, graph.parents.get(gid, ()))
+            _, q[gid] = _fold_gdf(terms, self.spends.get(gid, 0.0), q, ADDITIVE)
         return q
 
 
@@ -227,17 +220,13 @@ def _fixed_net(x: Gdf) -> float:
 
 def _upstream(x: Gdf, context: EvalContext | None) -> tuple[tuple, dict | None]:
     """Parent edges of ``x`` in the context portfolio and, when it has
-    parents, the context's compromise probabilities.  Raises UnknownGdfError
-    for a GDF outside the portfolio, then CycleDetectedError for one on or
-    below a cycle.  The fold raises KeyError for a GDF below an edge source
-    that names no GDF; unrelated GDFs still evaluate."""
+    parents, the context's compromise probabilities, which hold every GDF's.
+    Raises UnknownGdfError for a GDF outside the portfolio."""
     if context is None or context.portfolio is None:
         return (), None
     graph = context.portfolio._graph
     if x.id not in graph.gdfs:
         raise UnknownGdfError(f"gdf {x.id!r} is not part of the context portfolio")
-    if x.id in graph.cyclic:
-        raise CycleDetectedError(f"dependency cycle on or above {x.id!r}")
     parents = graph.parents.get(x.id, ())
     return parents, context._compromise if parents else None
 
@@ -306,15 +295,10 @@ class CoupledTotal:
     def __init__(self, p: Portfolio, mode: str = ADDITIVE):
         check_mode(mode)
         graph = p._graph
-        if graph.cyclic:
-            raise CycleDetectedError(
-                f"dependency cycle through {sorted(graph.cyclic)[0]!r}"
-            )
         steps = []
         for gid in graph.order:
-            if gid in graph.gdfs:
-                x, parents = graph.gdfs[gid], graph.parents.get(gid, ())
-                steps.append((gid, _terms(x.attacks, parents), parents, _fixed_net(x)))
+            x, parents = graph.gdfs[gid], graph.parents.get(gid, ())
+            steps.append((gid, _terms(x.attacks, parents), parents, _fixed_net(x)))
         self._steps = tuple(steps)
         self._ids = tuple(x.id for x in p.gdfs)
         self._mode = mode

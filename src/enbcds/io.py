@@ -31,9 +31,7 @@ from .model import (
     GordonLoebII,
     ModelError,
     Portfolio,
-    PortfolioValidationError,
     Table,
-    validate_portfolio,
 )
 from .optimize import AllocationResult, OptimalSpend
 from .sensitivity import (
@@ -326,16 +324,6 @@ _PORTFOLIO = _Record(Portfolio, [
 ])
 
 
-def _parse_portfolio(obj, path: str, lenient: bool) -> Portfolio:
-    portfolio = _PORTFOLIO.parse(obj, path, lenient)
-    try:
-        validate_portfolio(portfolio)
-    except PortfolioValidationError as exc:
-        detail = "; ".join(f"{v.where}: {v.message}" for v in exc.violations)
-        raise ValidationError(f"{path}: {detail}", path=path) from exc
-    return portfolio
-
-
 def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
     """Parse and fully validate a scenario document.
 
@@ -365,7 +353,7 @@ def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
     _check_unknown(meta, {"title", "notes"}, "/metadata", lenient)
     title = _expect_string(meta.get("title", ""), "/metadata/title")
     notes = _expect_string(meta.get("notes", ""), "/metadata/notes")
-    portfolio = _parse_portfolio(_get(doc, "portfolio", ""), "/portfolio", lenient)
+    portfolio = _PORTFOLIO.parse(_get(doc, "portfolio", ""), "/portfolio", lenient)
     uncertainty = _UNCERTAINTY.parse(doc.get("uncertainty", []), "/uncertainty", lenient)
     if uncertainty:  # every target resolves, then a draw at the lower ends passes
         drawn = {"portfolio": portfolio_to_dict(portfolio)}
@@ -379,7 +367,7 @@ def parse_scenario(text: str, lenient: bool = False) -> ScenarioFile:
                 container[key] = param.distribution.lo
                 lows[param.target] = i, container[key]
         try:
-            _parse_portfolio(drawn["portfolio"], "/portfolio", lenient=False)
+            _PORTFOLIO.parse(drawn["portfolio"], "/portfolio", lenient=False)
         except ValidationError as exc:
             # a field of the failing object before a field of an object inside it
             target = min(_targets_within(exc.path, list(lows)), key=lambda t: t.count("/"))
@@ -402,7 +390,7 @@ def portfolio_to_dict(p: Portfolio) -> dict:
 
 def portfolio_from_dict(d: dict) -> Portfolio:
     """Rebuild a validated portfolio from its canonical dict form."""
-    return _parse_portfolio(d, "/portfolio", lenient=False)
+    return _PORTFOLIO.parse(d, "/portfolio", lenient=False)
 
 
 def serialize_scenario(sf: ScenarioFile) -> str:

@@ -69,23 +69,20 @@ class NonConvexTableError(ModelError):
 
 @dataclass(frozen=True)
 class Violation:
-    """One invariant violation found by :func:`validate_portfolio`."""
+    """One cross-object rule a portfolio breaks, from :func:`portfolio_violations`."""
 
     code: str
     where: str
     message: str
 
-    def __str__(self) -> str:
-        return f"{self.where}: {self.message} [{self.code}]"
-
 
 class PortfolioValidationError(ModelError):
-    """Raised by :func:`validate_portfolio`; carries every violation found."""
+    """Raised when a :class:`Portfolio` is built; carries every violation
+    found, and its message is ``where: message`` of each, joined by ``; ``."""
 
     def __init__(self, violations: list[Violation]):
         self.violations = list(violations)
-        lines = "\n".join(f"  - {v}" for v in self.violations)
-        super().__init__(f"portfolio failed validation:\n{lines}")
+        super().__init__("; ".join(f"{v.where}: {v.message}" for v in self.violations))
 
 
 def _require_money(value: float, where: str) -> float:
@@ -375,14 +372,14 @@ class DependencyEdge:
 
 
 class _Graph(NamedTuple):
-    """Dependency index of one portfolio, built once on first use.
+    """Dependency index of one portfolio, built once by its constructor.
 
     ``parents`` lists each node's incoming edges in ``Portfolio.edges``
     order.  ``order`` is a Kahn topological order of every node that is
     neither on a cycle nor downstream of one; the remaining nodes form
-    ``cyclic``.  Nodes are the GDF ids plus any edge endpoint naming no GDF.
-    Evaluation walks ``order`` once, whether it fills an ``EvalContext``
-    cache or sums a ``CoupledTotal``.
+    ``cyclic``.  Nodes are the GDF ids plus any edge endpoint naming no GDF:
+    the constructor looks for a cycle before it knows the rest is valid.
+    Evaluation walks ``order``, every GDF of a built portfolio, once.
     """
 
     gdfs: dict[str, Gdf]
@@ -426,10 +423,13 @@ def _build_graph(gdfs: tuple[Gdf, ...], edges: tuple[DependencyEdge, ...]) -> _G
 class Portfolio:
     """A set of GDFs, their dependency edges, and the shared defense budget.
 
-    The dependency index behind :meth:`gdf`, :meth:`parents_of` and
-    evaluation (id lookup, incoming edges, topological order) is built on
-    first use and cached on the instance; a restricted or replaced
-    portfolio builds its own.
+    Valid once built: after its field checks the constructor runs
+    :func:`validate_portfolio`, which raises :class:`PortfolioValidationError`
+    listing every duplicate GDF id or edge, edge endpoint naming no GDF,
+    uplift naming no attack and cycle.  The dependency index behind
+    :meth:`gdf`, :meth:`parents_of` and evaluation is built by those checks
+    and cached on the instance; a restricted or replaced portfolio builds
+    its own.
     """
 
     gdfs: tuple[Gdf, ...] = ()
@@ -442,6 +442,7 @@ class Portfolio:
         if self.budget is not None:
             object.__setattr__(self, "budget", _require_money(self.budget, "portfolio budget"))
         _require_finite_sums(self.gdfs, "portfolio")
+        validate_portfolio(self)
 
     @cached_property
     def _graph(self) -> _Graph:
@@ -461,8 +462,8 @@ class Portfolio:
 
 
 def portfolio_violations(p: Portfolio) -> list[Violation]:
-    """Collect every cross-object invariant violation in ``p`` (empty list
-    means valid).  Field-level invariants are enforced by the constructors."""
+    """Every cross-object rule ``p`` breaks; empty on a built portfolio,
+    whose constructor runs this.  Field rules live in the constructors."""
     out: list[Violation] = []
     seen = set()
     for gi, g in enumerate(p.gdfs):
@@ -521,8 +522,9 @@ def _find_cycle(p: Portfolio) -> list[str] | None:
 
 
 def validate_portfolio(p: Portfolio) -> Portfolio:
-    """Return ``p`` unchanged if every invariant holds, else raise
-    :class:`PortfolioValidationError` listing all violations."""
+    """Return ``p`` unchanged if every cross-object rule holds, else raise
+    :class:`PortfolioValidationError` listing all violations; the last step
+    of ``Portfolio``'s constructor, so a built portfolio always passes."""
     violations = portfolio_violations(p)
     if violations:
         raise PortfolioValidationError(violations)
@@ -533,7 +535,8 @@ def restrict_portfolio(p: Portfolio, keep) -> Portfolio:
     """Sub-portfolio containing only the GDFs in ``keep`` and edges among them.
 
     Used by the allocator: a dropped GDF is not deployed at all, so it stops
-    contributing compromise events to its dependents.
+    contributing compromise events to its dependents.  The result is valid:
+    dropping GDFs with their edges keeps every cross-object rule.
     """
     keep = set(keep)
     gdfs = tuple(g for g in p.gdfs if g.id in keep)

@@ -326,10 +326,12 @@ class AllocationResult:
     saturation, whose marginals should all equal ``lam``; flags are only
     raised when the budget binds, since with slack every retained GDF sits
     at its own peak and the residual marginals there are solver noise.
-    ``sweep_objectives`` records the objective after each refinement sweep.
-    ``kkt`` is the certificate: the interior count, the interior marginals'
-    relative spread, and whether each retained GDF at spend 0 has a marginal
-    of at most ``lam + 1e-4`` (``lam`` read as 0 in literal mode).
+    ``sweep_objectives`` records the objective before and after each
+    refinement sweep of the final drop round, or is ``(objective,)`` when
+    that round did not refine.  ``kkt`` is the certificate: the interior
+    count, the interior marginals' relative spread, and whether each
+    retained GDF at spend 0 has a marginal of at most ``lam + 1e-4`` (None
+    in literal mode, which has no ``lam``).
     """
 
     spends: dict[str, float]
@@ -341,7 +343,7 @@ class AllocationResult:
     interior: dict[str, bool]
     iterations: int
     sweep_objectives: tuple[float, ...]
-    kkt: dict[str, int | float | bool]
+    kkt: dict[str, int | float | bool | None]
 
 
 def _water_fill(gdfs, budget: float | None, f0: dict[str, float]) -> tuple[dict[str, float], float]:
@@ -596,6 +598,7 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         if not drops:
             break
         kept -= drops
+        sweep_objectives = []  # a later round's allocation replaces this one's
     else:  # no GDF left, or none to start with
         spends, lam = {}, 0.0
         sub = restrict_portfolio(p, kept)
@@ -617,7 +620,7 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         from statistics import median  # local import: only coupled allocation takes a median
 
         lam = median(marginals[i] for i, inside in interior.items() if inside)
-    bound = (0.0 if lam is None else lam) + 1e-4
+    zero_ok = None if lam is None else all(m <= lam + 1e-4 for i, m in marginals.items() if spends[i] == 0.0)
 
     full = {i: spends.get(i, 0.0) for i in p.ids()}
     return AllocationResult(
@@ -633,6 +636,6 @@ def allocate(p: Portfolio, budget: float | None = None, mode: str = ADDITIVE) ->
         kkt={
             "interior_count": sum(interior.values()),
             "marginal_spread_rel": spread,
-            "zero_spend_ok": all(m <= bound for i, m in marginals.items() if spends[i] == 0.0),
+            "zero_spend_ok": zero_ok,
         },
     )

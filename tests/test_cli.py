@@ -205,6 +205,34 @@ class TestValidate:
         assert err.startswith("error: /portfolio/gdfs/0/ben: ")
         assert "Traceback" not in err
 
+    def test_every_portfolio_violation_prints_as_the_model_states_it(self, tmp_path, capfd):
+        # one portfolio with a duplicate GDF id, a duplicate edge, an endpoint
+        # naming no GDF, an uplift naming no attack and a cycle
+        attack = {"id": "hit", "baseline_prob": 0.3, "loss": 1000.0, "breach": {"family": "exponential", "kappa": 1e-3}}
+        gdfs = [{"id": gid, "ben": 10.0, "dir_costs": 1.0, "attacks": [attack]} for gid in "abca"]
+        edges = [
+            {"source": "a", "target": "b", "uplift": {"hit": 2.0}},
+            {"source": "a", "target": "b", "uplift": {}},
+            {"source": "b", "target": "ghost", "uplift": {}},
+            {"source": "a", "target": "c", "uplift": {"nope": 2.0}},
+            {"source": "b", "target": "c", "uplift": {"hit": 2.0}},
+            {"source": "c", "target": "b", "uplift": {}},
+        ]
+        doc = {"schema_version": 1, "portfolio": {"budget": None, "gdfs": gdfs, "edges": edges}}
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        hit = enbcds.AttackType(id="hit", baseline_prob=0.3, loss=1000.0, breach=enbcds.Exponential(1e-3))
+        with pytest.raises(enbcds.PortfolioValidationError) as err:
+            enbcds.Portfolio(
+                gdfs=tuple(enbcds.Gdf(id=g["id"], ben=10.0, dir_costs=1.0, attacks=(hit,)) for g in gdfs),
+                edges=tuple(enbcds.DependencyEdge(**e) for e in edges),
+            )
+        assert [v.code for v in err.value.violations] == [
+            "DuplicateId", "DuplicateEdge", "UnknownGdf", "UnknownAttack", "CyclicDependency",
+        ]
+        assert main(["validate", str(path)]) == 1
+        assert capfd.readouterr().err == f"error: /portfolio: {err.value}\n"
+
 
 class TestEvaluate:
     def test_no_attack_gdf_prints_ben_minus_costs(self, minimal_file, capfd):
@@ -356,6 +384,13 @@ class TestAllocate:
             assert key in payload
         assert payload["kkt"]["zero_spend_ok"] in (True, False)
 
+    def test_literal_mode_has_no_zero_spend_check(self, comparison_file, capfd):
+        # literal mode has no lam to compare the zero-spend marginals with
+        assert main(["--json", "allocate", comparison_file, "--mode", "literal"]) == 0
+        payload = json.loads(capfd.readouterr().out)
+        assert payload["lam"] is None and payload["kkt"]["zero_spend_ok"] is None
+        assert main(["allocate", comparison_file, "--mode", "literal"]) == 0
+        assert "zero-spend marginals within lam+1e-4: n/a\n" in capfd.readouterr().out
 
     def test_kkt_spread_is_that_of_the_interior_marginals(self, tmp_path, capfd):
         # a 3-GDF star that spends its whole budget with every GDF interior
@@ -473,17 +508,31 @@ class TestReport:
             content = (plots / name).read_bytes()
             assert content.startswith(b"<?xml")
 
-    @pytest.mark.parametrize("gdf_id", ["../escaped", "{tmp}/escaped"], ids=["relative", "absolute"])
+    @pytest.mark.parametrize(
+        "gdf_id",
+        ["../escaped", "{tmp}/escaped", "bad\u0000id", "x" * 300, "x" * 252, "\u00e9" * 126],
+        ids=["relative", "absolute", "nul", "300-bytes", "252-bytes", "252-utf8-bytes"],
+    )
     def test_plots_refuse_a_gdf_id_that_is_not_a_file_name(self, tmp_path, capfd, gdf_id):
+        # <id>.svg may hold at most 255 bytes; the third GDF's curve would be written last
         gdf_id = gdf_id.format(tmp=tmp_path)
-        doc = json.loads(bundled_scenario_text("wifi-thermostats"))
-        doc["portfolio"]["gdfs"][0]["id"] = gdf_id
+        doc = json.loads(bundled_scenario_text("three-gdfs-comparison"))
+        doc["portfolio"]["gdfs"][2]["id"] = gdf_id
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["report", str(path), "--plots", str(tmp_path / "plots"), "-o", str(tmp_path / "r.txt")])
         assert code == 1
         assert repr(gdf_id) in capfd.readouterr().err
         assert os.listdir(tmp_path) == ["s.json"]
+
+    def test_plots_take_an_id_of_251_bytes(self, tmp_path, capfd):
+        doc = json.loads(bundled_scenario_text("wifi-thermostats"))
+        gdf_id = "x" * 251
+        doc["portfolio"]["gdfs"][0]["id"] = gdf_id
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["report", str(path), "--plots", str(tmp_path / "plots"), "-o", str(tmp_path / "r.txt")]) == 0
+        assert f"{gdf_id}.svg" in os.listdir(tmp_path / "plots")
 
     def test_json_report_shape(self, comparison_file, capfd):
         assert main(["--json", "report", comparison_file]) == 0

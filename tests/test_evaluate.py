@@ -13,7 +13,6 @@ from enbcds import (
     LITERAL,
     AttackType,
     AdverseEvent,
-    CycleDetectedError,
     DegenerateRangeError,
     DependencyEdge,
     EvalContext,
@@ -21,6 +20,7 @@ from enbcds import (
     Gdf,
     GordonLoebI,
     Portfolio,
+    PortfolioValidationError,
     Table,
     UnknownGdfError,
     bundled_scenario,
@@ -214,13 +214,15 @@ class TestEffectiveProb:
                                             breach=Exponential(kappa=1e-3)),))
         y = Gdf(id="y", attacks=(AttackType(id="ay", baseline_prob=0.3, loss=10.0,
                                             breach=Exponential(kappa=1e-3)),))
-        p = Portfolio(gdfs=(x, y), edges=(
-            DependencyEdge(source="x", target="y", uplift={"ay": 2.0}),
-            DependencyEdge(source="y", target="x", uplift={"ax": 2.0}),
-        ))
-        ctx = EvalContext(portfolio=p)
-        with pytest.raises(CycleDetectedError):
-            effective_prob(x, "ax", 0.0, ctx)
+        # the portfolio refuses the cycle when it is built, so no evaluation can reach it
+        with pytest.raises(PortfolioValidationError) as err:
+            Portfolio(gdfs=(x, y), edges=(
+                DependencyEdge(source="x", target="y", uplift={"ay": 2.0}),
+                DependencyEdge(source="y", target="x", uplift={"ax": 2.0}),
+            ))
+        assert [(v.code, v.message) for v in err.value.violations] == [
+            ("CyclicDependency", "dependency graph has a cycle: x -> y -> x"),
+        ]
 
     def test_unknown_attack_id_raises(self):
         x = Gdf(id="x", attacks=(AttackType(id="a", baseline_prob=0.1, loss=1.0,

@@ -1,6 +1,6 @@
-"""Dependency-graph evaluation at depth, on cycles, and through the
-allocator's coupled objective, each checked against an independent
-reference."""
+"""Dependency-graph evaluation at depth and through the allocator's
+coupled objective, each checked against an independent reference, and the
+portfolio's refusal of cycles and dangling edges when it is built."""
 
 import json
 import math
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enbcds.cli import main
-from enbcds.evaluate import CoupledTotal, CycleDetectedError, EvalContext, enb
+from enbcds.evaluate import CoupledTotal, EvalContext, enb
 from enbcds.io import ScenarioFile, serialize_scenario
 from enbcds.model import (
     AttackType,
@@ -25,8 +25,6 @@ from enbcds.model import (
 from oracles import (
     PARAMETRIC,
     make_rng,
-    oracle_coupled_enb,
-    oracle_enb,
     oracle_noncyber,
     oracle_total,
     random_gdf,
@@ -158,8 +156,9 @@ class TestCoupledTotal:
 
     def test_rejects_a_cycle_and_a_negative_spend(self):
         gdfs = (_gdf("a"), _gdf("b"))
-        with pytest.raises(CycleDetectedError):
+        with pytest.raises(PortfolioValidationError) as err:
             CoupledTotal(Portfolio(gdfs=gdfs, edges=(_link("a", "b"), _link("b", "a"))))
+        assert [v.code for v in err.value.violations] == ["CyclicDependency"]
         total = CoupledTotal(Portfolio(gdfs=gdfs, edges=(_link("a", "b"),)))
         for bad in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
@@ -239,40 +238,24 @@ def _link(source: str, target: str) -> DependencyEdge:
 
 
 class TestCycles:
-    def test_unvalidated_context_raises_only_on_and_below_the_cycle(self):
-        # w -> u -> a <-> b -> d
-        gdfs = tuple(_gdf(g) for g in "wuabd")
-        edges = (_link("w", "u"), _link("u", "a"), _link("a", "b"), _link("b", "a"), _link("b", "d"))
-        p = Portfolio(gdfs=gdfs, edges=edges)
-        spends = {"w": 100.0, "u": 200.0, "a": 0.0, "b": 0.0, "d": 50.0}
-        ctx = EvalContext(p, spends)
-        for gid in "abd":
-            with pytest.raises(CycleDetectedError):
-                enb(p.gdf(gid), spends[gid], ctx)
-        upstream = Portfolio(gdfs=gdfs[:2], edges=edges[:1])
-        u = p.gdf("u")
-        want = oracle_coupled_enb(upstream, u, spends)
-        assert enb(u, spends["u"], ctx) == pytest.approx(want, rel=1e-12)
-        assert enb(p.gdf("w"), 100.0, ctx) == pytest.approx(oracle_enb(p.gdf("w"), 100.0), rel=1e-12)
-
-    @pytest.mark.parametrize("first", ["s", "c"])
-    def test_unknown_edge_source_fails_only_below_it(self, first):
-        # r -> s is sound; "zz" names no GDF, so c and its child g cannot evaluate
-        gdfs = tuple(_gdf(g) for g in "rscg")
-        edges = (_link("r", "s"), _link("zz", "c"), _link("c", "g"))
-        p = Portfolio(gdfs=gdfs, edges=edges)
-        spends = {"r": 100.0, "s": 200.0, "c": 0.0, "g": 50.0}
-        sound = Portfolio(gdfs=gdfs[:2], edges=edges[:1])
-        want = enb(p.gdf("s"), 200.0, EvalContext(sound, {"r": 100.0, "s": 200.0}))
-        ctx = EvalContext(p, spends)
-        if first == "c":  # a failing first evaluation leaves the cache usable
-            with pytest.raises(KeyError):
-                enb(p.gdf("c"), 0.0, ctx)
-        assert enb(p.gdf("s"), 200.0, ctx) == want
-        assert want == pytest.approx(oracle_coupled_enb(sound, p.gdf("s"), spends), rel=1e-12)
-        for gid in "cg":
-            with pytest.raises(KeyError):
-                enb(p.gdf(gid), spends[gid], ctx)
+    @pytest.mark.parametrize(
+        "names, links, want",
+        [
+            # w -> u -> a <-> b -> d: sound GDFs above the cycle, one below it
+            ("wuabd", ["wu", "ua", "ab", "ba", "bd"],
+             [("CyclicDependency", "edges", "dependency graph has a cycle: a -> b -> a")]),
+            # r -> s is sound; "zz" names no GDF, and c has a child g
+            ("rscg", ["rs", ("zz", "c"), "cg"],
+             [("UnknownGdf", "edges[1] (zz->c)", "unknown gdf 'zz'")]),
+        ],
+        ids=["cycle", "dangling-source"],
+    )
+    def test_build_refuses_a_graph_that_evaluation_could_not_walk(self, names, links, want):
+        gdfs = tuple(_gdf(g) for g in names)
+        edges = tuple(_link(source, target) for source, target in links)
+        with pytest.raises(PortfolioValidationError) as err:
+            Portfolio(gdfs=gdfs, edges=edges)
+        assert [(v.code, v.where, v.message) for v in err.value.violations] == want
 
     def test_cycle_path_in_message(self):
         gdfs = tuple(_gdf(f"g{i}") for i in range(4))

@@ -35,6 +35,13 @@ def simple_attack(aid="a", prob=0.5, loss=1000.0, breach=None):
     return AttackType(id=aid, baseline_prob=prob, loss=loss, breach=breach or Exponential(kappa=1e-3))
 
 
+def violations_of(**fields) -> list:
+    """The violations that building ``Portfolio(**fields)`` raises."""
+    with pytest.raises(PortfolioValidationError) as err:
+        Portfolio(**fields)
+    return err.value.violations
+
+
 class TestConstruction:
     def test_empty_portfolio_is_valid(self):
         p = Portfolio(gdfs=(), edges=(), budget=0.0)
@@ -97,7 +104,7 @@ class TestCycleDetection:
     def test_two_cycle_reported(self):
         x = Gdf(id="x", ben=1.0, attacks=(simple_attack("ax"),))
         y = Gdf(id="y", ben=1.0, attacks=(simple_attack("ay"),))
-        p = Portfolio(
+        violations = violations_of(
             gdfs=(x, y),
             edges=(
                 DependencyEdge(source="x", target="y", uplift={"ay": 2.0}),
@@ -105,9 +112,7 @@ class TestCycleDetection:
             ),
             budget=None,
         )
-        with pytest.raises(PortfolioValidationError) as err:
-            validate_portfolio(p)
-        codes = {v.code for v in err.value.violations}
+        codes = {v.code for v in violations}
         assert "CyclicDependency" in codes
 
     def test_three_cycle_reported(self):
@@ -116,8 +121,7 @@ class TestCycleDetection:
             DependencyEdge(source=f"g{i}", target=f"g{(i + 1) % 3}", uplift={f"a{(i + 1) % 3}": 1.5})
             for i in range(3)
         )
-        p = Portfolio(gdfs=gdfs, edges=edges)
-        codes = {v.code for v in portfolio_violations(p)}
+        codes = {v.code for v in violations_of(gdfs=gdfs, edges=edges)}
         assert "CyclicDependency" in codes
 
     def test_diamond_without_cycle_is_valid(self):
@@ -134,29 +138,27 @@ class TestCycleDetection:
 class TestPortfolioViolations:
     def test_duplicate_gdf_ids(self):
         g = Gdf(id="dup")
-        codes = {v.code for v in portfolio_violations(Portfolio(gdfs=(g, g)))}
+        codes = {v.code for v in violations_of(gdfs=(g, g))}
         assert "DuplicateId" in codes
 
     def test_edge_to_unknown_gdf(self):
         g = Gdf(id="x", attacks=(simple_attack(),))
-        p = Portfolio(gdfs=(g,), edges=(DependencyEdge(source="x", target="ghost", uplift={}),))
-        codes = {v.code for v in portfolio_violations(p)}
+        codes = {v.code for v in violations_of(gdfs=(g,), edges=(DependencyEdge(source="x", target="ghost", uplift={}),))}
         assert "UnknownGdf" in codes
 
     def test_uplift_naming_missing_attack(self):
         x = Gdf(id="x", attacks=(simple_attack("ax"),))
         y = Gdf(id="y", attacks=(simple_attack("ay"),))
-        p = Portfolio(
+        violations = violations_of(
             gdfs=(x, y),
             edges=(DependencyEdge(source="x", target="y", uplift={"nope": 2.0}),),
         )
-        codes = {v.code for v in portfolio_violations(p)}
+        codes = {v.code for v in violations}
         assert "UnknownAttack" in codes
 
     def test_violation_message_names_location(self):
         x = Gdf(id="x", attacks=(simple_attack("ax"),))
-        p = Portfolio(gdfs=(x, x))
-        violations = portfolio_violations(p)
+        violations = violations_of(gdfs=(x, x))
         assert any("gdfs[1]" in v.where for v in violations)
 
     def test_duplicate_edge_reported_at_each_repeat(self):
@@ -170,7 +172,7 @@ class TestPortfolioViolations:
             DependencyEdge(source="a", target="b", uplift={"ab2": 3.0}),
             DependencyEdge(source="a", target="b", uplift={}),
         )
-        violations = portfolio_violations(Portfolio(gdfs=(a, b, c), edges=edges))
+        violations = violations_of(gdfs=(a, b, c), edges=edges)
         assert [(v.code, v.where) for v in violations] == [
             ("DuplicateEdge", "edges[3] (a->b)"),
             ("DuplicateEdge", "edges[4] (a->b)"),
@@ -394,6 +396,16 @@ class TestRestrictPortfolio:
         sub = restrict_portfolio(p, p.ids())
         assert sub.ids() == p.ids()
         assert len(sub.edges) == len(p.edges)
+
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=6), st.data())
+    def test_any_restriction_builds_with_the_edges_among_the_kept(self, seed, n, data):
+        # the constructor checks every sub-portfolio the allocator's drop rounds build
+        p = random_portfolio(make_rng(seed), n, with_edges=True)
+        keep = data.draw(st.sets(st.sampled_from(p.ids())))
+        sub = restrict_portfolio(p, keep)
+        assert sub.ids() == [g for g in p.ids() if g in keep]
+        assert sub.edges == tuple(e for e in p.edges if e.source in keep and e.target in keep)
+        assert sub.budget == p.budget
 
     def test_random_portfolios_validate(self):
         for seed in range(20):

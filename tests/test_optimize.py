@@ -315,6 +315,21 @@ class TestAllocate:
             for a, b in zip(r.sweep_objectives, r.sweep_objectives[1:]):
                 assert b >= a - 1e-9 * scale
 
+    def test_sweep_objectives_belong_to_the_final_round(self):
+        # the two-GDF round refines, drops b, and the last round has no edge left
+        def attack(aid):
+            return AttackType(id=aid, baseline_prob=0.3, loss=1e6, breach=Exponential(kappa=1e-5))
+
+        a = Gdf(id="a", ben=2e6, attacks=(attack("x"),))
+        b = Gdf(id="b", ben=1e3, dir_costs=5e5, attacks=(attack("y"),))
+        p = Portfolio(gdfs=(a, b), edges=(DependencyEdge(source="a", target="b", uplift={"y": 2.0}),), budget=1e5)
+        r = allocate(p)
+        assert r.dropped == {"b"}
+        assert r.objective == pytest.approx(1_789_636.17, abs=0.01)
+        assert r.sweep_objectives == (r.objective,)
+        # the first round's sweeps still count
+        assert r.iterations > 2
+
     def test_matches_grid_oracle_without_edges(self):
         rng = make_rng(67)
         for i in range(5):
@@ -485,9 +500,8 @@ def kkt_by_definition(r) -> dict:
     if len(inner) >= 2:
         lo, hi = min(inner), max(inner)
         spread = (hi - lo) / max(abs(hi), abs(lo))
-    lam = 0.0 if r.lam is None else r.lam
-    zero_ok = all(
-        r.marginal_at_solution[g] <= lam + 1e-4 for g, s in r.spends.items() if s == 0.0 and g not in r.dropped
+    zero_ok = None if r.lam is None else all(
+        r.marginal_at_solution[g] <= r.lam + 1e-4 for g, s in r.spends.items() if s == 0.0 and g not in r.dropped
     )
     return {"interior_count": len(inner), "marginal_spread_rel": spread, "zero_spend_ok": zero_ok}
 
@@ -519,10 +533,19 @@ class TestKktCertificate:
         assert r.budget_used == pytest.approx(budget, rel=1e-12)
         assert r.kkt["interior_count"] == 0 and r.kkt["marginal_spread_rel"] == 0.0
 
-    @pytest.mark.parametrize("mode", [ADDITIVE, LITERAL])
-    def test_empty_portfolio_is_vacuously_tight(self, mode):
+    @pytest.mark.parametrize("mode, zero_ok", [(ADDITIVE, True), (LITERAL, None)])
+    def test_empty_portfolio_is_vacuously_tight(self, mode, zero_ok):
+        # literal mode has no lam, so it makes no zero-spend check
         r = allocate(Portfolio(), budget=100.0, mode=mode)
-        assert tuple(r.kkt.values()) == (0, 0.0, True)
+        assert tuple(r.kkt.values()) == (0, 0.0, zero_ok)
+
+    @pytest.mark.parametrize("seed, share", [(15, 0.01), (38, 0.05)])
+    def test_literal_mode_reports_no_zero_spend_check(self, seed, share):
+        # these grid allocations leave a GDF at 0 whose marginal is above 1e-4
+        p = random_portfolio(make_rng(seed), 4, padded=False)
+        r = allocate(p, budget=share * sum(oracle_f(x, 0.0) for x in p.gdfs), mode=LITERAL)
+        assert r.lam is None and r.kkt["zero_spend_ok"] is None
+        assert any(r.marginal_at_solution[g] > 1e-4 for g, s in r.spends.items() if s == 0.0 and g not in r.dropped)
 
 
 def extreme_breach_documents():
