@@ -180,7 +180,8 @@ def _cmd_report(args, sf):
     if args.plots is not None:
         for g in p.gdfs:
             name = f"{g.id}.svg"
-            if os.path.basename(name) != name or "\0" in name or len(name.encode()) > 255:
+            # the reader refuses ids holding a NUL or another control
+            if os.path.basename(name) != name or len(name.encode()) > 255:
                 raise ValueError(f"gdf {g.id!r}: --plots needs gdf ids that are plain file names of at most 251 bytes")
     ctx = _context(args, sf)
     optimal = {g.id: optimal_spend(g, context=ctx) for g in p.gdfs}

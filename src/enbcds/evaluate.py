@@ -20,8 +20,12 @@ Two readings of how defense spend enters ``f`` are supported:
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .model import Gdf, Portfolio
@@ -42,6 +46,8 @@ __all__ = [
 
 ADDITIVE = "additive"
 LITERAL = "literal"
+
+_MIN_NORMAL = sys.float_info.min
 
 
 class EvaluationError(Exception):
@@ -166,7 +172,9 @@ def _attack_prob(term, s: float, q: Mapping[str, float] | None) -> float:
     is the number of products that stay below the clamp: 2^k for k
     uplifting parents only when ``base * prod < 1`` for most subsets, as at
     large spends with distinct uplifts.  In exact arithmetic this equals
-    exhaustive enumeration over parent compromise states.
+    exhaustive enumeration over parent compromise states.  A curve or peak
+    search, whose probes move only ``s``, folds each such attack once, into
+    a :func:`_clamp_table`, and reads that instead.
     """
     # min(1.0, ...) inlined here: this is the allocator's innermost loop
     b, _, multiplier, ups = term
@@ -195,6 +203,65 @@ def _attack_prob(term, s: float, q: Mapping[str, float] | None) -> float:
                 saturated += prob * qp
         dist = kept
     return saturated + sum([prob * up for prob, up in dist])
+
+
+def _clamp_table(term, hi: float, q: Mapping[str, float]) -> Callable[[float], float]:
+    """``s -> _attack_prob(term, s, q)`` on ``[0, hi]``, up to the order of
+    summation, from one fold at ``hi``.
+
+    With ``q`` fixed only ``base = min(1, b·g(s))`` moves with the spend.
+    The fold runs once at ``top = min(1, b·g(hi))`` over the uplift
+    products ``prod`` of the compromised parent subsets, and banks the
+    weight of every subset whose product clamps there: ``g`` does not
+    increase, so it clamps at every ``s <= hi`` too.  The other products
+    are sorted, with prefix sums of ``w·prod`` and suffix sums of ``w``, so
+    that ``P = banked + base·Σ_{base·prod<1} w·prod + Σ_{base·prod>=1} w``.
+    One bisect finds the split, settled by the fold's own ``base·prod < 1``
+    test, so a probe costs O(log n) for the n products left.  At ``base`` 0
+    (a zero baseline, or ``g`` underflowing) nothing clamps and ``P`` is 0.
+    A subnormal base folds: the table's products can overflow where the
+    fold's, each taken times the base, do not.
+    """
+    b, _, multiplier, ups = term
+    top = b * multiplier(hi, b)
+    if not top < 1.0:
+        top = 1.0
+    dist = [(1.0, 1.0)]  # (weight, uplift product) of the subsets unclamped at top
+    banked = 0.0
+    for source, uplift in ups:
+        qp = q[source]
+        untouched = 1.0 - qp
+        kept = []
+        for w, prod in dist:
+            kept.append((w * untouched, prod))
+            if top * (prod := prod * uplift) >= 1.0:  # not at top 0, where 0 * inf is NaN
+                banked += w * qp
+            else:
+                kept.append((w * qp, prod))
+        dist = kept
+    dist.sort(key=itemgetter(1))
+    n = len(dist)
+    prods = [prod for _, prod in dist]
+    below = [0.0, *accumulate([w * prod for w, prod in dist])]  # over the first i products
+    above = [*accumulate([w for w, _ in reversed(dist)])][::-1] + [0.0]  # over products i onward
+
+    def prob(s: float) -> float:
+        base = b * multiplier(s, b)
+        if not base < 1.0:
+            base = 1.0
+        elif not base >= _MIN_NORMAL:
+            # base 0: no subset's attack succeeds.  A subnormal base times a
+            # product that overflowed to inf may or may not clamp, which
+            # the table cannot tell, so it folds
+            return _attack_prob(term, s, q) if base else 0.0
+        i = bisect_left(prods, 1.0 / base)
+        while i and not base * prods[i - 1] < 1.0:
+            i -= 1
+        while i < n and base * prods[i] < 1.0:
+            i += 1
+        return banked + base * below[i] + above[i]
+
+    return prob
 
 
 def _fold_gdf(terms, s: float, q, mode: str) -> tuple[float, float]:
@@ -231,16 +298,46 @@ def _upstream(x: Gdf, context: EvalContext | None) -> tuple[tuple, dict | None]:
     return parents, context._compromise if parents else None
 
 
-def _net_curve(x: Gdf, context: EvalContext | None) -> Callable[[float], float]:
+def _net_curve(x: Gdf, context: EvalContext | None, hi: float | None = None) -> Callable[[float], float]:
     """``s -> enb(x, s, context)`` for spends already known to be finite and
     >= 0.  The spend-independent part and the upstream lookup are done once
     here, as are the fold terms, so a scan over many spends pays only the
-    fold per point; raises what :func:`_upstream` raises."""
+    fold per point; raises what :func:`_upstream` raises.
+
+    ``hi`` is the top of the window a curve or peak search probes.  Given
+    it, each attack with two or more uplifting parents folds once, into a
+    :func:`_clamp_table`, and a probe at or below ``hi`` reads the tables:
+    O(log n) per such attack in place of a fold over up to 2^k parent
+    subsets.  Other attacks keep :func:`_attack_prob`'s closed forms, and a
+    probe above ``hi`` folds.  Without ``hi`` every probe folds.
+    """
     fixed = _fixed_net(x)
     parents, q = _upstream(x, context)
     terms = _terms(x.attacks, parents)
     mode = getattr(context, "mode", ADDITIVE)
-    return lambda s: fixed - _fold_gdf(terms, s, q, mode)[0]
+
+    def fold(s: float) -> float:
+        return fixed - _fold_gdf(terms, s, q, mode)[0]
+
+    if hi is None or all(len(term[3]) < 2 for term in terms):
+        return fold
+    probs = [_clamp_table(term, hi, q) if len(term[3]) > 1 else partial(_attack_prob, term, q=q) for term in terms]
+    losses = [term[1] for term in terms]
+    literal = mode == LITERAL
+
+    def net(s: float) -> float:
+        if s > hi:
+            return fold(s)
+        # _fold_gdf's sums, in its order
+        loss = 0.0
+        prob_total = 0.0
+        for prob, attack_loss in zip(probs, losses):
+            p = prob(s)
+            loss += p * attack_loss
+            prob_total += p
+        return fixed - (loss + s * prob_total if literal else s + loss)
+
+    return net
 
 
 def effective_prob(x: Gdf, attack_id: str, s: float, context: EvalContext | None = None) -> float:
@@ -389,21 +486,30 @@ def enbcds_curve(
     benefit at the window's end overflows a double, the window is halved
     until it does not.  ``s_star`` is the maximizer within the sampled
     window.
+
+    The samples and the peak search read one :func:`_net_curve` built for
+    the final window, so each attack with two or more uplifting parents
+    folds once for the whole curve (and once more for ``f(0)`` when the
+    window is the default); the peak is ``optimal_spend(x, context,
+    upper=s_max)``, bit for bit, unless the grid beats it.
     """
     if n_samples < 2:
         raise DegenerateRangeError(f"n_samples must be >= 2, got {n_samples}")
-    net = _net_curve(x, context)  # an unknown GDF fails before a bad window
+    _upstream(x, context)  # an unknown GDF fails before a bad window
     if s_max is None:
         f0 = expected_cyber_cost(x, 0.0, context)
         s_max = f0 if f0 > 0.0 else 1.0
+        net = _net_curve(x, context, s_max)
         # s + f(s) can overflow at f(0) above half the largest double;
         # net(0) is finite, so the halving ends
         while not math.isfinite(net(s_max)):
             s_max *= 0.5
+            net = _net_curve(x, context, s_max)
     else:
         s_max = float(s_max)
         if not math.isfinite(s_max) or s_max <= 0.0:
             raise DegenerateRangeError(f"s_max must be finite and > 0, got {s_max!r}")
+        net = _net_curve(x, context, s_max)
 
     step = s_max / (n_samples - 1)
     samples = []
@@ -411,10 +517,9 @@ def enbcds_curve(
         s = s_max if i == n_samples - 1 else i * step
         samples.append((s, net(s)))
 
-    from .optimize import optimal_spend  # local import: optimize builds on this module
+    from .optimize import _peak  # local import: optimize builds on this module
 
-    best = optimal_spend(x, context=context, upper=s_max)
-    s_star, peak_value = best.s_star, best.value
+    s_star, peak_value = _peak(net, s_max, getattr(context, "mode", ADDITIVE))
     grid_s, grid_v = max(samples, key=lambda sv: sv[1])
     # the line search assumes one peak; the literal mode, and an uplift
     # clamp that binds on part of the window, can give the curve two

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, NamedTuple
@@ -128,6 +129,22 @@ _expect_dict = _expect(dict, "an object")
 _expect_list = _expect(list, "an array")
 _expect_string = _expect(str, "a string")
 _expect_bool = _expect(bool, "true/false")
+
+
+# characters that no output can print as read: a lone surrogate has no
+# UTF-8 encoding, XML 1.0 forbids U+FFFE, U+FFFF and most C0 controls even
+# escaped, and a newline or tab splits a row of the text tables
+_UNPRINTABLE = re.compile("[\x00-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _expect_id(v, path: str) -> str:
+    """An id: a string that holds no C0 control (U+0000-U+001F), lone
+    surrogate, U+FFFE or U+FFFF, so that every output prints it."""
+    if _UNPRINTABLE.search(_expect_string(v, path)) is not None:
+        raise ValidationError(
+            f"{path}: id {v!r} holds a control character, a lone surrogate or U+FFFE/U+FFFF", path=path
+        )
+    return v
 
 
 def _expect_number(v, path: str) -> float:
@@ -287,19 +304,19 @@ _DISTRIBUTION = _TaggedUnion("kind", "distribution", {
     "pert": Pert,
 })
 _ATTACK = _Record(AttackType, [
-    ("id", _expect_string, _REQUIRED),
+    ("id", _expect_id, _REQUIRED),
     ("baseline_prob", _expect_number, _REQUIRED),
     ("loss", _expect_number, _REQUIRED),
     ("breach", _BREACH, _REQUIRED),
     ("description", _expect_string, _OPTIONAL),
 ])
 _ADVERSE = _Record(AdverseEvent, [
-    ("id", _expect_string, _REQUIRED),
+    ("id", _expect_id, _REQUIRED),
     ("prob", _expect_number, _REQUIRED),
     ("cost", _expect_number, _REQUIRED),
 ])
 _GDF = _Record(Gdf, [
-    ("id", _expect_string, _REQUIRED),
+    ("id", _expect_id, _REQUIRED),
     ("name", _expect_string, lambda read: read["id"]),
     ("ben", _expect_number, _REQUIRED),
     ("dir_costs", _expect_number, _REQUIRED),

@@ -287,7 +287,9 @@ def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | Non
     absolute tolerance of 1e-6 * upper, and keep the best of both ends, the
     scanned point and the searched point, so boundary optima come back
     exact.  ``n`` is 2 for the one-peaked additive curve and 2001 in literal
-    mode.
+    mode.  The probes read one curve built for ``[0, upper]``
+    (``evaluate._net_curve``), so an attack with two or more uplifting
+    parents folds once for the whole search, not once per probe.
     """
     if upper is None:
         upper = expected_cyber_cost(x, 0.0, context)
@@ -297,9 +299,13 @@ def optimal_spend(x: Gdf, context: EvalContext | None = None, upper: float | Non
         upper = float(upper)
         if not math.isfinite(upper) or upper <= 0.0:
             raise ValueError(f"upper must be finite and > 0, got {upper!r}")
+    return _peak(_net_curve(x, context, upper), upper, getattr(context, "mode", ADDITIVE))
 
-    n = 2 if getattr(context, "mode", ADDITIVE) == ADDITIVE else 2001
-    return OptimalSpend(*_scan_max(_net_curve(x, context), 0.0, upper, n, 1e-6 * upper))
+
+def _peak(net: Callable[[float], float], upper: float, mode: str) -> OptimalSpend:
+    """:func:`optimal_spend`'s search of ``net`` on ``[0, upper]`` in ``mode``."""
+    n = 2 if mode == ADDITIVE else 2001
+    return OptimalSpend(*_scan_max(net, 0.0, upper, n, 1e-6 * upper))
 
 
 def mandatory_min_loss(x: Gdf, context: EvalContext | None = None) -> float:

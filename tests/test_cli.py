@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -9,8 +11,12 @@ import pathlib
 import stat
 import subprocess
 import sys
+import tempfile
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import enbcds
 from enbcds import (
@@ -587,6 +593,65 @@ class TestOneOutputPath:
             monkeypatch.setattr(cli, name, refuse)
         assert main(["--json", *_subcommand_argv(command, "three-gdfs-comparison", comparison_file)]) == 0
         json.loads(capfd.readouterr().out)
+
+
+def _unprintable(text: str) -> bool:
+    """Whether ``text`` holds a C0 control, a lone surrogate, U+FFFE or U+FFFF."""
+    return any(ord(c) < 0x20 or 0xD800 <= ord(c) <= 0xDFFF or c in "\ufffe\uffff" for c in text)
+
+
+# st.text() draws C0 controls but no surrogate, U+FFFE or U+FFFF: splice those in too
+_IDS = st.text() | st.builds(
+    lambda head, c, tail: head + c + tail,
+    st.text(), st.sampled_from("\ud800\udbff\udc00\udfff\ufffe\uffff\x00\x01\t\n\x1f\x7f\ufffd"), st.text(),
+)
+
+
+class TestEveryAcceptedIdPrints:
+    @given(gid=_IDS, where=st.sampled_from(("gdfs/1", "gdfs/1/attacks/0", "gdfs/1/adverse/0")))
+    def test_an_id_is_refused_at_its_path_or_printed_by_every_output(self, gid, where):
+        # empty and duplicate ids are the model's refusals, at the object's path
+        assume(gid and gid != "smart-meter-fleet")
+        doc = json.loads(bundled_scenario_text("smart-meters-vs-relays"))
+        obj = doc["portfolio"]
+        for key in where.split("/"):
+            obj = obj[int(key)] if key.isdigit() else obj[key]
+        obj["id"] = gid
+        err = io.StringIO()
+
+        def run(*argv: str) -> int:
+            with contextlib.redirect_stderr(err):
+                return main(list(argv))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out, plots = (os.path.join(tmp, name) for name in ("s.json", "out", "plots"))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc))  # escapes a lone surrogate as \ud800
+            if _unprintable(gid):
+                assert run("validate", path) == 1
+                assert f"/portfolio/{where}/id: id {gid!r} " in err.getvalue()
+                return
+            gdf = f"--gdf={doc['portfolio']['gdfs'][1]['id']}"
+            for argv in (
+                ["validate"], ["evaluate", gdf], ["curve", gdf, "--samples", "16"],
+                ["curve", gdf, "--samples", "16", "--format", "svg"], ["optimize", gdf], ["allocate"],
+                ["sample", "--draws", "2", "--seed", "0"], ["report"],
+            ):
+                for flags in ([], ["--json"]):
+                    assert run(*flags, argv[0], path, *argv[1:], "-o", out) == 0, err.getvalue()
+                    with open(out, "rb") as fh:
+                        text = fh.read().decode("utf-8")
+                    if flags:
+                        json.loads(text)
+                    elif "svg" in argv:
+                        title = ET.fromstring(text.encode("utf-8")).find("{http://www.w3.org/2000/svg}text")
+                        assert title.text == doc["portfolio"]["gdfs"][1]["id"]
+            code = run("report", path, "--plots", plots, "-o", out)
+            if code:  # the file-name refusal, before anything is written
+                assert f"gdf {gid!r}: --plots needs" in err.getvalue() and not os.path.exists(plots)
+            else:
+                for name in os.listdir(plots):
+                    ET.parse(os.path.join(plots, name))
 
 
 def _cli_boundary() -> dict[str, str]:

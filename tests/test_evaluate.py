@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given
@@ -432,6 +433,130 @@ class TestFoldTermsAreBuiltOnce:
         for j in range(50):
             line(spends[p.gdfs[0].id] * (1.0 + j / 50), spends[p.gdfs[2].id] * (1.0 - j / 100))
         assert len(built) == len(p.gdfs)
+
+
+class TestClampTable:
+    """A curve or peak search with a context folds each attack with two or
+    more uplifting parents once, into a clamp table, and reads the table
+    at every probe of its window."""
+
+    @staticmethod
+    def _star(data, k):
+        """A sink under ``k`` parents.  Its attack ``t`` has a ``_HALVING``
+        breach and distinct power-of-two uplifts from every parent, with the
+        baseline placed, as in :class:`TestFoldAtTheClamp`, so that at one
+        knot spend a subset's product lands on the clamp or one ulp to
+        either side of it.  Attack ``r`` has distinct uplifts from two or
+        more parents and a baseline that may be 0 (nothing clamps) or 1
+        (clamped at spend 0); ``off`` is named by no edge."""
+        exps = data.draw(st.lists(st.integers(1, 16), min_size=k, max_size=k, unique=True), label="uplift exponents")
+        subset = data.draw(st.sets(st.sampled_from(range(k)), min_size=1), label="subset on the clamp")
+        e = sum(exps[m] for m in subset)
+        knot = data.draw(st.integers(0, min(3, e - 1)), label="knot that puts the subset on the clamp")
+        ulp = data.draw(st.sampled_from((-1, 0, 1)), label="ulps off the clamp")
+        b = math.ldexp(1.0, knot - e)
+        b = {-1: math.nextafter(b, 0.0), 0: b, 1: math.nextafter(b, 1.0)}[ulp]
+        r_from = data.draw(st.sets(st.sampled_from(range(k)), min_size=2), label="parents uplifting r")
+        r_ups = data.draw(st.lists(st.floats(1.01, 40.0), min_size=k, max_size=k, unique=True), label="r uplifts")
+        r_base = data.draw(st.sampled_from((0.0, 1.0)) | st.floats(0.01, 0.99), label="r baseline")
+        q_base = st.sampled_from((0.0, 1.0)) | st.floats(1e-6, 1.0 - 1e-6)
+        parents = tuple(
+            Gdf(id=f"p{m}", ben=1e4, attacks=(_exp_attack(f"a{m}", data.draw(q_base, label=f"p{m} baseline")),))
+            for m in range(k)
+        )
+        sink = Gdf(id="sink", ben=1e6, dir_costs=3e3, attacks=(
+            AttackType(id="t", baseline_prob=b, loss=2e4, breach=_HALVING),
+            _exp_attack("r", r_base, kappa=0.05, loss=3e4),
+            _exp_attack("off", 0.4),
+        ))
+        edges = tuple(
+            DependencyEdge(source=f"p{m}", target="sink",
+                           uplift={"t": 2.0 ** exps[m], **({"r": r_ups[m]} if m in r_from else {})})
+            for m in range(k)
+        )
+        p = Portfolio(gdfs=(*parents, sink), edges=edges)
+        return p, sink, dict.fromkeys(p.ids(), 0.0), knot
+
+    @given(data=st.data())
+    def test_the_table_matches_enumeration_across_its_window(self, data):
+        k = data.draw(st.integers(2, 12), label="uplifting parents")
+        mode = data.draw(st.sampled_from((ADDITIVE, LITERAL)), label="mode")
+        p, sink, spends, knot = self._star(data, k)
+        hi = data.draw(st.just(3.0) | st.floats(3.0, 200.0), label="window top")
+        other = data.draw(st.integers(0, 3), label="another knot")
+        grid = data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=2), label="grid points")
+        ctx = EvalContext(p, spends, mode)
+        net = evaluate._net_curve(sink, ctx, hi)
+        scale = sink.ben + sum(a.loss for a in sink.attacks) + hi
+        for s in {0.0, float(knot), float(other), hi, *(hi * j / 8 for j in grid)}:
+            want = oracle_coupled_enb(p, sink, {**spends, "sink": s}, mode)
+            assert abs(net(s) - want) <= 1e-12 * scale
+        # each table against enumeration, attack by attack
+        ups = {a.id: [e for e in p.edges if e.uplift.get(a.id, 1.0) != 1.0] for a in sink.attacks}
+        for term, attack in zip(evaluate._terms(sink.attacks, p.edges), sink.attacks):
+            if len(ups[attack.id]) > 1:
+                prob = evaluate._clamp_table(term, hi, ctx._compromise)
+                for s in (0.0, float(knot), hi):
+                    want = oracle_attack_prob(p, "sink", attack, {**spends, "sink": s})
+                    assert abs(prob(s) - want) <= 1e-12
+
+    def test_a_curve_folds_each_uplifted_attack_once(self, monkeypatch):
+        p, sink, spends = TestWideFanIn._star(12, seed=12)
+        spends["sink"] = 150.0
+        ctx = EvalContext(p, spends)
+        ctx._compromise  # the context's own walk folds the sink at its spend, once per context
+        tables, folds = [], []
+        clamp_table, attack_prob = evaluate._clamp_table, evaluate._attack_prob
+
+        def counted_table(term, hi, q):
+            tables.append(len(term[3]))
+            return clamp_table(term, hi, q)
+
+        def counted_prob(term, s, q):
+            if len(term[3]) > 1:
+                folds.append(len(term[3]))
+            return attack_prob(term, s, q)
+
+        monkeypatch.setattr(evaluate, "_clamp_table", counted_table)
+        monkeypatch.setattr(evaluate, "_attack_prob", counted_prob)
+        # "hi" has 12 uplifting parents, "lo" 6 and "off" none
+        curve = enbcds_curve(sink, context=ctx)
+        assert sorted(tables) == [6, 12]
+        assert sorted(folds) == [6, 12]  # f(0), which sets the default window
+        tables.clear(), folds.clear()
+        enbcds_curve(sink, s_max=curve.spends[-1], context=ctx)
+        optimal_spend(sink, ctx, upper=curve.spends[-1])
+        assert sorted(tables) == [6, 6, 12, 12] and folds == []
+        # a probe above the window's top folds, as enb does
+        net = evaluate._net_curve(sink, ctx, 100.0)
+        tables.clear()
+        assert net(250.0) == enb(sink, 250.0, ctx) and tables == []
+        assert sorted(folds) == [6, 6, 12, 12]
+
+    def test_products_past_the_largest_double_where_the_base_underflows(self):
+        # the table's products overflow to inf; exp(-s) is subnormal for s in
+        # (708.4, 745.1) and 0 above, where the fold's base * prod is 0
+        parents = tuple(Gdf(id=f"p{m}", ben=1e4, attacks=(_exp_attack(f"a{m}", 0.5),)) for m in range(3))
+        sink = Gdf(id="sink", ben=1e6, attacks=(_exp_attack("t", 0.9, kappa=1.0),))
+        edges = tuple(
+            DependencyEdge(source=x.id, target="sink", uplift={"t": u})
+            for x, u in zip(parents, (sys.float_info.max, 2.0, 3.0))
+        )
+        p = Portfolio(gdfs=(*parents, sink), edges=edges)
+        ctx = EvalContext(p, dict.fromkeys(p.ids(), 0.0))
+        fold, table = evaluate._net_curve(sink, ctx), evaluate._net_curve(sink, ctx, 800.0)
+        for s in (0.0, 1.0, 700.0, 708.0, 709.0, 720.0, 744.0, 746.0, 800.0):
+            assert table(s) == pytest.approx(fold(s), rel=1e-15), s
+            want = oracle_coupled_enb(p, sink, {**ctx.spends, "sink": s}) if s < 708.0 else fold(s)
+            assert table(s) == pytest.approx(want, rel=1e-15), s
+
+    @pytest.mark.parametrize("mode", [ADDITIVE, LITERAL])
+    def test_the_curve_peak_is_optimal_spend_on_its_window_bit_for_bit(self, mode):
+        p, sink, spends = TestWideFanIn._star(8, seed=21)
+        ctx = EvalContext(p, spends, mode)
+        curve = enbcds_curve(sink, context=ctx)
+        best = optimal_spend(sink, ctx, upper=curve.spends[-1])
+        assert (curve.s_star, curve.peak_value) == (best.s_star, best.value)
 
 
 class TestEvalContext:

@@ -743,8 +743,8 @@ def test_scan_max_evaluates_each_end_once(monkeypatch):
     net_curve = optimize._net_curve
     probes = []
 
-    def counted(x, context=None):
-        net = net_curve(x, context)
+    def counted(x, context=None, hi=None):
+        net = net_curve(x, context, hi)
         return lambda s: probes.append(s) or net(s)
 
     monkeypatch.setattr(optimize, "_net_curve", counted)
